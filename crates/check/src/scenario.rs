@@ -105,7 +105,7 @@ pub fn caller_transitions() -> Vec<String> {
     // completes: complete-ack without last-fragment.
     open.push(table.register(act(3), 1));
     let pkt = drill_packet(&pool, PacketType::Result, act(3), 1, frag(1, 2, false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert!(matches!(table.deliver(pkt), Deliver::Buffered(None)));
     let pkt = drill_packet(&pool, PacketType::Result, act(3), 1, frag(0, 2, true));
     assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
 
@@ -113,7 +113,7 @@ pub fn caller_transitions() -> Vec<String> {
     // complete-ack with last-fragment.
     open.push(table.register(act(4), 1));
     let pkt = drill_packet(&pool, PacketType::Result, act(4), 1, frag(0, 2, false));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+    assert!(matches!(table.deliver(pkt), Deliver::Buffered(Some(_))));
     let pkt = drill_packet(&pool, PacketType::Result, act(4), 1, frag(1, 2, true));
     assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
 
@@ -121,17 +121,18 @@ pub fn caller_transitions() -> Vec<String> {
     // final (three fragments, so neither delivery completes).
     open.push(table.register(act(5), 1));
     let pkt = drill_packet(&pool, PacketType::Result, act(5), 1, frag(0, 3, true));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+    assert!(matches!(table.deliver(pkt), Deliver::Buffered(Some(_))));
     let pkt = drill_packet(&pool, PacketType::Result, act(5), 1, frag(2, 3, true));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+    assert!(matches!(table.deliver(pkt), Deliver::Buffered(Some(_))));
 
     // Server ack (quench / fragment-advance) and probe-response against
-    // an open call that has not produced a result yet.
+    // an open call that has not produced a result yet. The fragment ack
+    // finds no parked call fragments, so it advances nothing.
     open.push(table.register(act(6), 1));
     let pkt = drill_packet(&pool, PacketType::Ack, act(6), 1, single(false));
     assert!(matches!(table.deliver(pkt), Deliver::Accepted));
     let pkt = drill_packet(&pool, PacketType::Ack, act(6), 1, frag(0, 2, false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert!(matches!(table.deliver(pkt), Deliver::Buffered(None)));
     let pkt = drill_packet(&pool, PacketType::ProbeResponse, act(6), 1, single(false));
     assert!(matches!(table.deliver(pkt), Deliver::Accepted));
 

@@ -12,8 +12,13 @@
 //!
 //! This module is that table for the caller role: the demux thread calls
 //! [`CallTable::deliver`], which attaches the packet to the entry and
-//! signals the entry's condition variable — **one wakeup per packet**, no
-//! intermediate datalink thread.
+//! signals the entry's condition variable, with no intermediate datalink
+//! thread. The caller sleeps **once per call**, however many packets the
+//! call takes. Everything else is interrupt-level work done in `deliver`:
+//! a multi-packet call parks its prebuilt fragment frames on the entry
+//! and the demux transmits fragment f+1 as soon as the server acks
+//! fragment f ([`Deliver::Advance`]); result fragments are buffered and
+//! acked without a wakeup until the result is complete.
 
 use crate::packet::{Assembled, Packet};
 use crate::witness::{row, ProtocolWitness};
@@ -26,14 +31,38 @@ use std::time::Instant;
 /// What the demultiplexer should do after a delivery attempt.
 #[derive(Debug)]
 pub enum Deliver {
-    /// The packet was attached to a waiting call (or buffered as a
-    /// fragment) and the thread was awakened if complete.
+    /// The packet was attached to the waiting call and its thread was
+    /// awakened (a complete result, an ack of the call's final packet, a
+    /// probe response, or a probing caller's first result fragment).
     Accepted,
-    /// The packet was accepted and the sender expects an explicit
-    /// acknowledgement (non-final result fragment, or please-ack).
+    /// As [`Deliver::Accepted`], and the sender expects this explicit
+    /// acknowledgement.
     AcceptedNeedsAck(RpcHeader),
+    /// The packet was absorbed without waking anybody: a result fragment
+    /// buffered mid-reassembly, or an ack that advances nothing. `Some`
+    /// carries the acknowledgement the sender expects.
+    Buffered(Option<RpcHeader>),
+    /// The server acknowledged the call fragment the caller was waiting
+    /// on: the demultiplexer transmits the next one back to the ack's
+    /// sender. Nobody was woken.
+    Advance(NextFragment),
     /// Nobody is waiting for this packet; the buffer should be recycled.
     Orphan(Packet),
+}
+
+/// The next fragment of a multi-packet call, handed to the demultiplexer
+/// for transmission by [`Deliver::Advance`].
+#[derive(Debug)]
+pub struct NextFragment {
+    frames: Arc<[Vec<u8>]>,
+    index: usize,
+}
+
+impl NextFragment {
+    /// The encoded frame to transmit.
+    pub fn frame(&self) -> &[u8] {
+        self.frames.get(self.index).map_or(&[], Vec::as_slice)
+    }
 }
 
 /// Result of waiting on a call entry.
@@ -41,25 +70,31 @@ pub enum Deliver {
 pub enum Wait {
     /// The complete result arrived.
     Complete(Assembled),
-    /// The server acknowledged a packet of ours; `fragment` says which
-    /// fragment was acknowledged and `last` whether it was the final one
-    /// (an ack of the final fragment, or of a retransmitted single-packet
-    /// call, means the call is in progress — keep waiting, do not
-    /// retransmit).
-    Acked {
-        /// Fragment index acknowledged.
-        fragment: u16,
-        /// True when the acknowledged fragment was the last.
-        last: bool,
-    },
+    /// The server acknowledged the call's final packet, or answered a
+    /// probe: the call is in progress — keep waiting, do not retransmit.
+    Acked,
+    /// The first result fragment arrived while the caller was probing
+    /// (see [`CallEntry::arm_result_wake`]): re-arm the short timer, so
+    /// a later lost fragment is re-acked promptly.
+    ResultStarted,
     /// The wait timed out; the caller should retransmit or give up.
     TimedOut,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Reassembly {
     count: u16,
+    /// Distinct fragments buffered so far: complete at `count`.
+    have: u16,
     received: Vec<Option<Vec<u8>>>,
+}
+
+/// A multi-packet call's fragments, sent stop-and-wait by the demux.
+#[derive(Debug)]
+struct CallFragments {
+    frames: Arc<[Vec<u8>]>,
+    /// The fragment most recently transmitted, whose ack is awaited.
+    awaited: u16,
 }
 
 #[derive(Debug)]
@@ -68,11 +103,34 @@ struct EntryState {
     seq: u32,
     /// Set when the complete result has arrived.
     outcome: Option<Assembled>,
-    /// The server acknowledged our call since the last wait:
-    /// `(fragment, last)`.
-    acked: Option<(u16, bool)>,
+    /// The server acknowledged the final call packet (or answered a
+    /// probe) since the last wait.
+    acked: bool,
+    /// The caller asked to be woken by the first result fragment.
+    wake_on_result: bool,
+    /// A result fragment woke the caller since the last wait.
+    result_started: bool,
     /// Partial multi-packet result.
     reassembly: Option<Reassembly>,
+    /// Fragments of a multi-packet call (none for single-packet calls
+    /// and for the `fragment_blast` ablation).
+    fragments: Option<CallFragments>,
+}
+
+impl EntryState {
+    /// Consumes whatever the demux attached for the caller to act on.
+    fn take_ready(&mut self) -> Option<Wait> {
+        if let Some(outcome) = self.outcome.take() {
+            return Some(Wait::Complete(outcome));
+        }
+        if std::mem::take(&mut self.acked) {
+            return Some(Wait::Acked);
+        }
+        if std::mem::take(&mut self.result_started) {
+            return Some(Wait::ResultStarted);
+        }
+        None
+    }
 }
 
 /// One outstanding call, waited on by exactly one caller thread.
@@ -93,14 +151,7 @@ impl CallEntry {
     /// pending ack if one is attached; never parks. The polling half of
     /// the §4.2.7 busy-wait ablation.
     pub fn poll(&self) -> Option<Wait> {
-        let mut st = self.state.lock();
-        if let Some(outcome) = st.outcome.take() {
-            return Some(Wait::Complete(outcome));
-        }
-        if let Some((fragment, last)) = st.acked.take() {
-            return Some(Wait::Acked { fragment, last });
-        }
-        None
+        self.state.lock().take_ready()
     }
 
     /// Spin-then-park wait — the §4.2.7 busy-wait ablation, measured
@@ -124,29 +175,67 @@ impl CallEntry {
         self.wait(deadline)
     }
 
-    /// Blocks until the result arrives, the server acks, or the deadline
-    /// passes.
+    /// Blocks until the result arrives, the server acks the final call
+    /// packet, a probing caller's first result fragment arrives, or the
+    /// deadline passes.
     pub fn wait(&self, deadline: Instant) -> Wait {
         let mut st = self.state.lock();
         loop {
-            if let Some(outcome) = st.outcome.take() {
-                return Wait::Complete(outcome);
-            }
-            if let Some((fragment, last)) = st.acked.take() {
-                return Wait::Acked { fragment, last };
+            if let Some(w) = st.take_ready() {
+                return w;
             }
             if self.cond.wait_until(&mut st, deadline).timed_out() {
                 // Re-check before reporting timeout: the wakeup may have
                 // raced the deadline.
-                if let Some(outcome) = st.outcome.take() {
-                    return Wait::Complete(outcome);
-                }
-                if let Some((fragment, last)) = st.acked.take() {
-                    return Wait::Acked { fragment, last };
-                }
-                return Wait::TimedOut;
+                return st.take_ready().unwrap_or(Wait::TimedOut);
             }
         }
+    }
+
+    /// Parks a multi-packet call's encoded fragment frames on the entry
+    /// before fragment 0 goes out. From then on the demux sends fragment
+    /// f+1 itself when the server acks fragment f.
+    pub fn park_fragments(&self, frames: Arc<[Vec<u8>]>) {
+        self.state.lock().fragments = Some(CallFragments { frames, awaited: 0 });
+    }
+
+    /// The call fragment most recently transmitted (the one whose ack
+    /// is awaited), or `None` for a call without parked fragments.
+    pub fn awaited_fragment(&self) -> Option<u16> {
+        self.state.lock().fragments.as_ref().map(|f| f.awaited)
+    }
+
+    /// Asks the demux to wake the caller at the first result fragment.
+    /// A probing caller sleeps on a long timer; this lets it re-arm the
+    /// short one once the result starts streaming. Returns `false`, and
+    /// arms nothing, if a result fragment has already arrived.
+    pub fn arm_result_wake(&self) -> bool {
+        let mut st = self.state.lock();
+        if st.reassembly.as_ref().is_some_and(|r| r.have > 0) {
+            return false;
+        }
+        st.wake_on_result = true;
+        true
+    }
+
+    /// The acknowledgement that re-requests a partly received result: it
+    /// names the highest fragment received with every earlier one, and
+    /// the server answers it with the next fragment. `None` while no
+    /// prefix of the result has arrived. A result carries its call's
+    /// identity fields, so the ack is built from the `call` header.
+    pub fn reack(&self, call: &RpcHeader) -> Option<RpcHeader> {
+        let st = self.state.lock();
+        let reass = st.reassembly.as_ref()?;
+        let prefix = reass.received.iter().take_while(|f| f.is_some()).count();
+        let highest = u16::try_from(prefix.checked_sub(1)?).ok()?;
+        Some(RpcHeader::ack_for(&RpcHeader {
+            packet_type: PacketType::Result,
+            flags: PacketFlags::default(),
+            fragment: highest,
+            fragment_count: reass.count,
+            data_len: 0,
+            ..*call
+        }))
     }
 }
 
@@ -205,8 +294,11 @@ impl CallTable {
             state: Mutex::new(EntryState {
                 seq,
                 outcome: None,
-                acked: None,
+                acked: false,
+                wake_on_result: false,
+                result_started: false,
                 reassembly: None,
+                fragments: None,
             }),
             cond: Condvar::new(),
         });
@@ -250,19 +342,49 @@ impl CallTable {
         }
         match pkt.rpc.packet_type {
             PacketType::Ack | PacketType::ProbeResponse => {
-                let last =
-                    pkt.rpc.flags.last_fragment || pkt.rpc.fragment + 1 >= pkt.rpc.fragment_count;
-                st.acked = Some((pkt.rpc.fragment, last));
-                drop(st);
-                entry.cond.notify_one();
-                if pkt.rpc.packet_type == PacketType::ProbeResponse {
+                let rpc = pkt.rpc;
+                if rpc.packet_type == PacketType::ProbeResponse {
                     self.witness.record(row::CALLER_PROBE_RESPONSE);
-                } else if pkt.rpc.flags.last_fragment {
+                } else if rpc.flags.last_fragment {
                     self.witness.record(row::CALLER_ACK_QUENCH);
                 } else {
                     self.witness.record(row::CALLER_ACK_ADVANCE);
                 }
-                Deliver::Accepted
+                let last = rpc.flags.last_fragment || rpc.fragment + 1 >= rpc.fragment_count;
+                if rpc.packet_type == PacketType::ProbeResponse || last {
+                    // The server holds the whole call: the caller stops
+                    // retransmitting and probes instead. Only these wake
+                    // it; a delayed ack of an earlier fragment must not
+                    // switch it to probing a call whose final fragment
+                    // was lost (the server answers such probes with
+                    // silence).
+                    st.acked = true;
+                    drop(st);
+                    entry.cond.notify_one();
+                    return Deliver::Accepted;
+                }
+                // An ack of a non-final call fragment: if it is the one
+                // awaited, the next fragment goes out from here, without
+                // waking the caller. Anything else (a duplicated ack, or
+                // the `fragment_blast` window's acks) advances nothing.
+                let next = match st.fragments.as_mut() {
+                    Some(f)
+                        if f.awaited == rpc.fragment
+                            && usize::from(f.awaited) + 1 < f.frames.len() =>
+                    {
+                        f.awaited += 1;
+                        Some(NextFragment {
+                            frames: Arc::clone(&f.frames),
+                            index: usize::from(f.awaited),
+                        })
+                    }
+                    _ => None,
+                };
+                drop(st);
+                match next {
+                    Some(next) => Deliver::Advance(next),
+                    None => Deliver::Buffered(None),
+                }
             }
             PacketType::Result => {
                 if pkt.rpc.fragment_count <= 1 {
@@ -285,6 +407,7 @@ impl CallTable {
                 let count = rpc.fragment_count;
                 let reass = st.reassembly.get_or_insert_with(|| Reassembly {
                     count,
+                    have: 0,
                     // lint:allow(no-alloc-on-fast-path): multi-fragment
                     // reassembly is the stop-and-wait slow path; the
                     // single-packet fast path never reaches this arm.
@@ -299,11 +422,12 @@ impl CallTable {
                     // outlive the pooled packet buffer, so the slow path
                     // copies them out; single-packet results never do.
                     reass.received[frag] = Some(pkt.data().to_vec());
+                    reass.have += 1;
                 }
-                let complete = reass.received.iter().all(|f| f.is_some());
+                let complete = reass.have == reass.count;
                 let ack = RpcHeader::ack_for(&rpc);
                 if complete {
-                    // `complete` has just verified every slot, so the
+                    // `have == count` means every slot is filled, so the
                     // double flatten drops nothing; written without
                     // expect() so the demultiplexer thread can never
                     // panic here (a dead demux strands every caller).
@@ -334,16 +458,24 @@ impl CallTable {
                     }
                     return Deliver::Accepted;
                 }
+                // Mid-reassembly the caller sleeps on: the demux acks the
+                // fragment and the server streams the next one. Only a
+                // probing caller, asleep on its long timer, is woken —
+                // once, at the first fragment — to re-arm its short one.
+                let woke = std::mem::take(&mut st.wake_on_result);
+                st.result_started |= woke;
                 drop(st);
+                if woke {
+                    entry.cond.notify_one();
+                }
                 // Non-final fragments are always acknowledged explicitly
                 // (Birrell–Nelson stop-and-wait for multi-packet bodies),
                 // as is any fragment that asks. A reordered *final*
                 // fragment arriving before the rest must NOT be acked
                 // unless it asks: an ack carrying last-fragment tells the
                 // server the whole result got through, and it would
-                // release the retained result while earlier fragments are
-                // still in flight — a lost fragment then strands the call
-                // until the server-side retransmission path recovers it.
+                // release the result frames while earlier fragments are
+                // still missing — a lost one could then never be resent.
                 if rpc.flags.please_ack || !rpc.flags.last_fragment {
                     self.witness.record(if rpc.flags.last_fragment {
                         row::CALLER_ASSEMBLE_ACK_PA_LF
@@ -352,10 +484,18 @@ impl CallTable {
                     } else {
                         row::CALLER_ASSEMBLE_ACK
                     });
-                    return Deliver::AcceptedNeedsAck(ack);
+                    return if woke {
+                        Deliver::AcceptedNeedsAck(ack)
+                    } else {
+                        Deliver::Buffered(Some(ack))
+                    };
                 }
                 self.witness.record(row::CALLER_ASSEMBLE_LF);
-                Deliver::Accepted
+                if woke {
+                    Deliver::Accepted
+                } else {
+                    Deliver::Buffered(None)
+                }
             }
             PacketType::Call | PacketType::Probe => {
                 // Caller-bound routing never sees these.
@@ -405,11 +545,6 @@ pub fn shard_for(activity: ActivityId, shards: usize) -> usize {
 #[derive(Debug)]
 pub struct ShardedCallTable {
     shards: Vec<CallTable>,
-    /// Lock-free count of registered calls, kept by register/unregister.
-    /// A *hint* (racy by design): callers read it to pick the contended
-    /// yield-wait over parking, where being off by one for an instant
-    /// only mis-picks a wait strategy, never correctness.
-    in_flight: std::sync::atomic::AtomicUsize,
 }
 
 impl ShardedCallTable {
@@ -417,7 +552,6 @@ impl ShardedCallTable {
     pub fn new(shards: usize) -> ShardedCallTable {
         ShardedCallTable {
             shards: (0..shards.max(1)).map(|_| CallTable::new()).collect(),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -446,22 +580,12 @@ impl ShardedCallTable {
 
     /// Registers an outstanding call in its activity's shard.
     pub fn register(&self, activity: ActivityId, seq: u32) -> Arc<CallEntry> {
-        self.in_flight
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.shard(activity).register(activity, seq)
     }
 
     /// Removes the entry for an activity from its shard.
     pub fn unregister(&self, activity: ActivityId) {
         self.shard(activity).unregister(activity);
-        self.in_flight
-            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Racy count of registered calls (see the field docs); cheap enough
-    /// for the per-wait caller fast path.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Number of outstanding calls across all shards.
@@ -518,6 +642,19 @@ mod tests {
         Packet::from_buf(buf).unwrap()
     }
 
+    fn fragment_ack_packet(seq: u32, frag: u16, count: u16) -> Packet {
+        let frame = FrameBuilder::new(PacketType::Ack)
+            .activity(activity())
+            .call_seq(seq)
+            .fragment(frag, count)
+            .build(&[])
+            .unwrap();
+        let pool = BufferPool::new(1);
+        let mut buf = pool.alloc().unwrap();
+        buf.fill_from(frame.bytes());
+        Packet::from_buf(buf).unwrap()
+    }
+
     #[test]
     fn single_packet_result_wakes_waiter() {
         let table = CallTable::new();
@@ -550,16 +687,16 @@ mod tests {
         // would tell the server the whole result arrived).
         assert!(matches!(
             table.deliver(result_packet(9, &[30, 31], 2, 3)),
-            Deliver::Accepted
+            Deliver::Buffered(None)
         ));
         assert!(matches!(
             table.deliver(result_packet(9, &[10, 11], 0, 3)),
-            Deliver::AcceptedNeedsAck(_)
+            Deliver::Buffered(Some(_))
         ));
         // Duplicate of an already-buffered fragment.
         assert!(matches!(
             table.deliver(result_packet(9, &[10, 11], 0, 3)),
-            Deliver::AcceptedNeedsAck(_)
+            Deliver::Buffered(Some(_))
         ));
         assert!(matches!(
             table.deliver(result_packet(9, &[20, 21], 1, 3)),
@@ -577,7 +714,7 @@ mod tests {
         let _entry = table.register(activity(), 9);
         assert!(matches!(
             table.deliver(result_packet(9, &[1], 0, 3)),
-            Deliver::AcceptedNeedsAck(_)
+            Deliver::Buffered(Some(_))
         ));
         // Claims fragment 7 of 3 — malformed; must be orphaned.
         assert!(matches!(
@@ -605,7 +742,7 @@ mod tests {
         assert!(matches!(table.deliver(ack_packet(9)), Deliver::Accepted));
         assert!(matches!(
             entry.wait(Instant::now() + Duration::from_secs(1)),
-            Wait::Acked { last: true, .. }
+            Wait::Acked
         ));
         // The flag is consumed; the next wait times out.
         assert!(matches!(
@@ -621,8 +758,8 @@ mod tests {
         let p1 = result_packet(2, &[4, 5, 6], 1, 3);
         let p0 = result_packet(2, &[1, 2, 3], 0, 3);
         let p2 = result_packet(2, &[7, 8], 2, 3);
-        assert!(matches!(table.deliver(p1), Deliver::AcceptedNeedsAck(_)));
-        assert!(matches!(table.deliver(p0), Deliver::AcceptedNeedsAck(_)));
+        assert!(matches!(table.deliver(p1), Deliver::Buffered(Some(_))));
+        assert!(matches!(table.deliver(p0), Deliver::Buffered(Some(_))));
         // The final fragment completes the call.
         assert!(matches!(table.deliver(p2), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
@@ -704,7 +841,7 @@ mod tests {
         buf.fill_from(frame.bytes());
         let final_frag = Packet::from_buf(buf).unwrap();
         let first = result_packet(4, &[8], 0, 2);
-        assert!(matches!(table.deliver(first), Deliver::AcceptedNeedsAck(_)));
+        assert!(matches!(table.deliver(first), Deliver::Buffered(Some(_))));
         match table.deliver(final_frag) {
             Deliver::AcceptedNeedsAck(ack) => {
                 assert_eq!(ack.packet_type, PacketType::Ack);
@@ -723,7 +860,7 @@ mod tests {
         let _entry = table.register(activity(), 6);
         assert!(matches!(
             table.deliver(result_packet(6, &[9], 1, 2)),
-            Deliver::Accepted
+            Deliver::Buffered(None)
         ));
         // With please-ack the sender explicitly wants the fragment
         // confirmed, so the ack goes out.
@@ -741,8 +878,121 @@ mod tests {
         buf.fill_from(frame.bytes());
         assert!(matches!(
             table2.deliver(Packet::from_buf(buf).unwrap()),
+            Deliver::Buffered(Some(_))
+        ));
+    }
+
+    #[test]
+    fn duplicate_fragments_do_not_count_twice() {
+        // Completion is a received-fragment count, so it must count
+        // distinct fragments: two copies of fragment 0 plus fragment 1
+        // are two of three, not a complete result.
+        let table = CallTable::new();
+        let entry = table.register(activity(), 8);
+        for _ in 0..2 {
+            assert!(matches!(
+                table.deliver(result_packet(8, &[1], 0, 3)),
+                Deliver::Buffered(Some(_))
+            ));
+        }
+        assert!(matches!(
+            table.deliver(result_packet(8, &[2], 1, 3)),
+            Deliver::Buffered(Some(_))
+        ));
+        assert!(
+            entry.poll().is_none(),
+            "incomplete result reported complete"
+        );
+        assert!(matches!(
+            table.deliver(result_packet(8, &[3], 2, 3)),
+            Deliver::Accepted
+        ));
+        match entry.poll() {
+            Some(Wait::Complete(a)) => assert_eq!(a.data(), &[1, 2, 3]),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn acks_advance_parked_call_fragments_without_waking() {
+        let table = CallTable::new();
+        let entry = table.register(activity(), 4);
+        let frames: Arc<[Vec<u8>]> = vec![vec![0u8], vec![1u8], vec![2u8]].into();
+        entry.park_fragments(frames);
+        assert_eq!(entry.awaited_fragment(), Some(0));
+        match table.deliver(fragment_ack_packet(4, 0, 3)) {
+            Deliver::Advance(next) => assert_eq!(next.frame(), &[1]),
+            other => panic!("unexpected {other:?}"),
+        }
+        // A duplicated ack of fragment 0 advances nothing.
+        assert!(matches!(
+            table.deliver(fragment_ack_packet(4, 0, 3)),
+            Deliver::Buffered(None)
+        ));
+        match table.deliver(fragment_ack_packet(4, 1, 3)) {
+            Deliver::Advance(next) => assert_eq!(next.frame(), &[2]),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(entry.awaited_fragment(), Some(2));
+        // Nobody was woken by the advances.
+        assert!(entry.poll().is_none());
+        // An ack of the final fragment means the server holds the call.
+        assert!(matches!(
+            table.deliver(fragment_ack_packet(4, 2, 3)),
+            Deliver::Accepted
+        ));
+        assert!(matches!(entry.poll(), Some(Wait::Acked)));
+    }
+
+    #[test]
+    fn probing_caller_is_woken_once_by_the_first_result_fragment() {
+        let table = CallTable::new();
+        let entry = table.register(activity(), 2);
+        assert!(entry.arm_result_wake());
+        assert!(matches!(
+            table.deliver(result_packet(2, &[1], 0, 3)),
             Deliver::AcceptedNeedsAck(_)
         ));
+        assert!(matches!(entry.poll(), Some(Wait::ResultStarted)));
+        // Later fragments stream without a wakeup, and re-arming after
+        // the result started is refused.
+        assert!(matches!(
+            table.deliver(result_packet(2, &[2], 1, 3)),
+            Deliver::Buffered(Some(_))
+        ));
+        assert!(entry.poll().is_none());
+        assert!(!entry.arm_result_wake());
+    }
+
+    #[test]
+    fn reack_names_the_highest_contiguous_fragment() {
+        let table = CallTable::new();
+        let entry = table.register(activity(), 3);
+        let call = RpcHeader {
+            packet_type: PacketType::Call,
+            flags: PacketFlags::single_packet(),
+            activity: activity(),
+            call_seq: 3,
+            fragment: 0,
+            fragment_count: 1,
+            interface_uid: 0,
+            interface_version: 0,
+            procedure: 0,
+            data_len: 0,
+        };
+        assert!(entry.reack(&call).is_none());
+        let _ = table.deliver(result_packet(3, &[1], 2, 4));
+        // Fragment 0 is missing: there is no prefix to acknowledge.
+        assert!(entry.reack(&call).is_none());
+        let _ = table.deliver(result_packet(3, &[1], 0, 4));
+        let ack = entry.reack(&call).unwrap();
+        assert_eq!(ack.packet_type, PacketType::Ack);
+        assert!(ack.flags.acks_result);
+        assert!(!ack.flags.last_fragment);
+        assert_eq!((ack.activity, ack.call_seq), (activity(), 3));
+        assert_eq!((ack.fragment, ack.fragment_count), (0, 4));
+        let _ = table.deliver(result_packet(3, &[1], 1, 4));
+        assert_eq!(entry.reack(&call).unwrap().fragment, 2);
     }
 
     #[test]

@@ -321,102 +321,34 @@ impl Client {
         span: &mut crate::trace::Span<'_>,
     ) -> Result<Assembled> {
         let shared = &self.inner.shared;
-        let cfg = &shared.config;
-        shared.ctx.send_call(frame, self.inner.remote)?;
-        // First-write-wins: for fragmented calls the `Sent` stamp was
-        // already taken at the first fragment.
+        let remote = self.inner.remote;
+        shared.ctx.send_call(frame, remote)?;
         span.stamp(crate::trace::Stamp::Sent);
         crate::stats::RpcStats::bump(&shared.ctx.stats.calls_sent);
-
-        // Backoff jitter is seeded from the endpoint config (mixed with
-        // the activity and sequence number so concurrent callers
-        // decorrelate), which keeps retry timing reproducible in tests.
-        let mut jitter = firefly_rng::Rng::new(
-            cfg.rng_seed
-                ^ (u64::from(header.activity.machine) << 32)
-                ^ (u64::from(header.activity.space) << 16)
-                ^ u64::from(header.activity.thread)
-                ^ (u64::from(header.call_seq) << 48),
-        );
-        let mut timeout = cfg.retransmit_initial;
         let mut transmissions = 1u32;
-        let mut acked = false;
-        let mut probes = 0u32;
-        loop {
-            let mut wake_at = Instant::now() + timeout;
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(RpcError::DeadlineExceeded);
-                }
-                wake_at = wake_at.min(d);
+        self.await_result(header, entry, deadline, span, || {
+            if transmissions >= shared.config.max_transmissions {
+                return Err(RpcError::CallFailed { transmissions });
             }
-            match self.wait_on(entry, wake_at) {
-                Wait::Complete(a) => {
-                    span.stamp(crate::trace::Stamp::ResultReceived);
-                    return Ok(a);
-                }
-                Wait::Acked { fragment, .. } => {
-                    // Only an ack that covers *this* packet proves the
-                    // server holds the complete call. Acks of earlier
-                    // fragments can surface here (delayed, duplicated,
-                    // or left in the slot by the fragment loop) while
-                    // the final fragment itself was lost; believing
-                    // them would switch to probing a call the server
-                    // never started — which it answers with silence —
-                    // instead of retransmitting the missing packet.
-                    if fragment >= header.fragment {
-                        acked = true;
-                        probes = 0;
-                        timeout = cfg.retransmit_max;
-                    }
-                }
-                Wait::TimedOut => {
-                    if acked {
-                        // The server said it is working; probe instead of
-                        // retransmitting the call.
-                        probes += 1;
-                        if probes > 120 {
-                            return Err(RpcError::CallFailed { transmissions });
-                        }
-                        let probe = RpcHeader {
-                            packet_type: PacketType::Probe,
-                            data_len: 0,
-                            ..*header
-                        };
-                        shared.ctx.send_built(
-                            &shared.ctx.builder_from(&probe, self.inner.remote),
-                            &[],
-                            self.inner.remote,
-                        )?;
-                    } else {
-                        if transmissions >= cfg.max_transmissions {
-                            return Err(RpcError::CallFailed { transmissions });
-                        }
-                        // Retransmit with please-ack so the server answers
-                        // even while the call executes.
-                        let retransmit = shared
-                            .ctx
-                            .builder_from(header, self.inner.remote)
-                            .please_ack(true);
-                        shared.ctx.send_built(
-                            &retransmit,
-                            frame_data(frame, header),
-                            self.inner.remote,
-                        )?;
-                        transmissions += 1;
-                        crate::stats::RpcStats::bump(&shared.ctx.stats.retransmissions);
-                        // Exponential backoff with up to +25% deterministic
-                        // jitter so synchronized callers spread out.
-                        timeout = (timeout * 2)
-                            .min(cfg.retransmit_max)
-                            .mul_f64(1.0 + jitter.f64() * 0.25);
-                    }
-                }
-            }
-        }
+            // Retransmit with please-ack so the server answers even
+            // while the call executes.
+            let retransmit = shared.ctx.builder_from(header, remote).please_ack(true);
+            shared
+                .ctx
+                .send_built(&retransmit, frame_data(frame, header), remote)?;
+            transmissions += 1;
+            Ok(())
+        })
     }
 
     /// Sends a multi-packet call stop-and-wait, then waits for the result.
+    ///
+    /// Every fragment frame is built up front and parked on the call
+    /// entry. The caller sends fragment 0; the demultiplexer sends each
+    /// later fragment as soon as the server acks its predecessor, so the
+    /// caller thread sleeps once for the whole call. It wakes for the
+    /// result, or on its timer: then it resends the fragment whose ack is
+    /// still awaited, with a per-fragment attempt budget.
     fn transact_multi(
         &self,
         header: &RpcHeader,
@@ -427,80 +359,108 @@ impl Client {
     ) -> Result<Assembled> {
         let shared = &self.inner.shared;
         let cfg = &shared.config;
+        let remote = self.inner.remote;
         let count = crate::fragment::fragment_count(data.len())?;
         let chunks: Vec<(u16, &[u8])> = crate::fragment::fragments(data).collect();
         if cfg.fragment_blast && chunks.len() > 1 {
             return self.transact_blast(header, &chunks, count, entry, deadline, span);
         }
-        // Send every fragment but the last stop-and-wait.
-        for &(index, chunk) in &chunks[..chunks.len() - 1] {
-            let frag_header = RpcHeader {
-                fragment: index,
-                fragment_count: count,
-                data_len: chunk.len() as u16,
-                ..*header
-            };
-            let builder = shared
-                .ctx
-                .builder_from(&frag_header, self.inner.remote)
-                .fragment(index, count)
-                .please_ack(true);
-            shared.ctx.send_built(&builder, chunk, self.inner.remote)?;
-            // The account's "send" boundary is the first transmission of
-            // the first fragment (first-write-wins on later fragments).
-            span.stamp(crate::trace::Stamp::Sent);
-            crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
-            let mut attempts = 1;
-            loop {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(RpcError::DeadlineExceeded);
-                    }
-                }
-                match self.wait_on(
-                    entry,
-                    Instant::now()
-                        + cfg
-                            .retransmit_initial
-                            .max(std::time::Duration::from_millis(20)),
-                ) {
-                    Wait::Acked { fragment, .. } if fragment >= index => break,
-                    Wait::Acked { .. } => continue,
-                    Wait::Complete(a) => {
-                        // Server already answered (dup of an earlier call).
-                        span.stamp(crate::trace::Stamp::ResultReceived);
-                        return Ok(a);
-                    }
-                    Wait::TimedOut => {
-                        attempts += 1;
-                        if attempts > cfg.max_transmissions {
-                            return Err(RpcError::CallFailed {
-                                transmissions: attempts,
-                            });
-                        }
-                        shared.ctx.send_built(&builder, chunk, self.inner.remote)?;
-                        crate::stats::RpcStats::bump(&shared.ctx.stats.retransmissions);
-                    }
-                }
-            }
-        }
-        // The final fragment behaves like a single-packet call.
-        let (index, chunk) = *chunks.last().ok_or(RpcError::Internal {
+        let (final_index, final_chunk) = *chunks.last().ok_or(RpcError::Internal {
             context: "fragmented transfer produced zero fragments",
         })?;
-        let final_header = RpcHeader {
+        let frag_header = |index: u16, chunk: &[u8]| RpcHeader {
             fragment: index,
             fragment_count: count,
             data_len: chunk.len() as u16,
             ..*header
         };
-        let frame = shared
-            .ctx
-            .builder_from(&final_header, self.inner.remote)
-            .fragment(index, count)
-            .build(chunk)?;
+        // Every fragment but the last asks for an ack; the final one
+        // behaves like a single-packet call (the result acks it).
+        let frames = chunks
+            .iter()
+            .map(|&(index, chunk)| {
+                shared
+                    .ctx
+                    .builder_from(&frag_header(index, chunk), remote)
+                    .please_ack(index != final_index)
+                    .build(chunk)
+                    .map(|frame| frame.into_bytes())
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let frames: Arc<[Vec<u8>]> = frames.into();
+        // Parked before fragment 0 leaves, so its ack finds the frames.
+        entry.park_fragments(Arc::clone(&frames));
+        let first = frames.first().ok_or(RpcError::Internal {
+            context: "fragmented transfer produced zero frames",
+        })?;
+        shared.ctx.transport.send(first, remote)?;
+        // The account's "send" boundary is the first fragment's hand-off.
+        span.stamp(crate::trace::Stamp::Sent);
         crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
-        self.transact_single(&final_header, frame.bytes(), entry, deadline, span)
+        crate::stats::RpcStats::bump(&shared.ctx.stats.calls_sent);
+
+        // Stop-and-wait over the non-final fragments. The caller sleeps
+        // through the demux's advances; a timeout with the same fragment
+        // still awaited means it (or its ack) was lost.
+        let final_index = usize::from(final_index);
+        let fragment_timeout = cfg
+            .retransmit_initial
+            .max(std::time::Duration::from_millis(20));
+        let mut awaited = 0usize;
+        let mut attempts = 1u32;
+        while awaited < final_index {
+            if let Some(d) = deadline {
+                if Instant::now() >= d {
+                    return Err(RpcError::DeadlineExceeded);
+                }
+            }
+            match self.wait_on(entry, Instant::now() + fragment_timeout) {
+                Wait::Complete(a) => {
+                    span.stamp(crate::trace::Stamp::ResultReceived);
+                    return Ok(a);
+                }
+                // Only an ack of the final fragment wakes the caller, and
+                // the final fragment is not out yet: nothing to act on.
+                Wait::Acked | Wait::ResultStarted => {}
+                Wait::TimedOut => {
+                    let now = usize::from(entry.awaited_fragment().unwrap_or(0));
+                    if now != awaited {
+                        // The demux advanced meanwhile; re-arm.
+                        awaited = now;
+                        attempts = 1;
+                        continue;
+                    }
+                    attempts += 1;
+                    if attempts > cfg.max_transmissions {
+                        return Err(RpcError::CallFailed {
+                            transmissions: attempts,
+                        });
+                    }
+                    let frame = frames.get(awaited).ok_or(RpcError::Internal {
+                        context: "awaited fragment out of range",
+                    })?;
+                    shared.ctx.transport.send(frame, remote)?;
+                    crate::stats::RpcStats::bump(&shared.ctx.stats.retransmissions);
+                }
+            }
+        }
+
+        // The demux has sent the final fragment: from here the call
+        // behaves like a single-packet call.
+        let final_header = frag_header(final_index as u16, final_chunk);
+        let mut transmissions = 1u32;
+        self.await_result(&final_header, entry, deadline, span, || {
+            if transmissions >= cfg.max_transmissions {
+                return Err(RpcError::CallFailed { transmissions });
+            }
+            let retransmit = shared
+                .ctx
+                .builder_from(&final_header, remote)
+                .please_ack(true);
+            shared.ctx.send_built(&retransmit, final_chunk, remote)?;
+            transmissions += 1;
+            Ok(())
+        })
     }
 
     /// Sends a multi-packet call as one back-to-back fragment blast —
@@ -510,8 +470,8 @@ impl Client {
     /// the result. Timeout recovery re-blasts the entire window (with
     /// please-ack on the final fragment so progress is observable);
     /// server-side reassembly is idempotent, so duplicates are harmless.
-    /// The ack/probe state machine mirrors [`Client::transact_single`]:
-    /// only an acknowledgement covering the final fragment proves the
+    /// The server acks every non-final fragment it buffers, but only an
+    /// ack of the final fragment wakes the caller: it alone proves the
     /// server holds the complete call and switches us to probing.
     fn transact_blast(
         &self,
@@ -559,10 +519,56 @@ impl Client {
             fragment_count: count,
             ..*header
         };
-        let mut timeout = cfg.retransmit_initial;
         let mut transmissions = 1u32;
+        self.await_result(&final_header, entry, deadline, span, || {
+            if transmissions >= cfg.max_transmissions {
+                return Err(RpcError::CallFailed { transmissions });
+            }
+            send_window(true)?;
+            transmissions += 1;
+            Ok(())
+        })
+    }
+
+    /// The Transporter's wait for a call whose final packet is out:
+    /// sleeps until the result is complete, and on each timeout recovers
+    /// whatever the protocol state says was lost.
+    ///
+    /// * A result partly received: re-ack its highest contiguous
+    ///   fragment, and the server resends the next one. The caller owns
+    ///   this timer; the server keeps none.
+    /// * The server acked the call (it is executing): probe.
+    /// * Otherwise: `retransmit` the call (it enforces its own budget),
+    ///   with exponential backoff.
+    ///
+    /// `header` is the call's final packet, which probes name.
+    fn await_result(
+        &self,
+        header: &RpcHeader,
+        entry: &crate::calltable::CallEntry,
+        deadline: Option<Instant>,
+        span: &mut crate::trace::Span<'_>,
+        mut retransmit: impl FnMut() -> Result<()>,
+    ) -> Result<Assembled> {
+        let shared = &self.inner.shared;
+        let cfg = &shared.config;
+        let remote = self.inner.remote;
+        // Backoff jitter is seeded from the endpoint config (mixed with
+        // the activity and sequence number so concurrent callers
+        // decorrelate), which keeps retry timing reproducible in tests.
+        let mut jitter = firefly_rng::Rng::new(
+            cfg.rng_seed
+                ^ (u64::from(header.activity.machine) << 32)
+                ^ (u64::from(header.activity.space) << 16)
+                ^ u64::from(header.activity.thread)
+                ^ (u64::from(header.call_seq) << 48),
+        );
+        let mut timeout = cfg.retransmit_initial;
         let mut acked = false;
         let mut probes = 0u32;
+        // Re-acks of the same result prefix; progress resets the budget.
+        let mut reacked = None;
+        let mut attempts = 0u32;
         loop {
             let mut wake_at = Instant::now() + timeout;
             if let Some(d) = deadline {
@@ -576,41 +582,60 @@ impl Client {
                     span.stamp(crate::trace::Stamp::ResultReceived);
                     return Ok(a);
                 }
-                Wait::Acked { fragment, .. } => {
-                    // The server acks every non-final fragment it
-                    // buffers; only an ack covering the final fragment
-                    // proves it holds the complete call.
-                    if fragment >= final_index {
-                        acked = true;
-                        probes = 0;
-                        timeout = cfg.retransmit_max;
-                    }
+                Wait::Acked => {
+                    // The server holds the call. Probe on the long timer,
+                    // but have the first result fragment wake us to
+                    // re-arm the short one; if the result has already
+                    // started, keep the short timer.
+                    acked = true;
+                    probes = 0;
+                    timeout = if entry.arm_result_wake() {
+                        cfg.retransmit_max
+                    } else {
+                        cfg.retransmit_initial
+                    };
                 }
+                Wait::ResultStarted => timeout = cfg.retransmit_initial,
                 Wait::TimedOut => {
-                    if acked {
-                        // The server is executing; probe, don't re-blast.
+                    if let Some(ack) = entry.reack(header) {
+                        if reacked != Some(ack.fragment) {
+                            reacked = Some(ack.fragment);
+                            attempts = 0;
+                        }
+                        attempts += 1;
+                        if attempts > cfg.max_transmissions {
+                            return Err(RpcError::CallFailed {
+                                transmissions: attempts,
+                            });
+                        }
+                        shared.ctx.send_ack(&ack, remote)?;
+                    } else if acked {
+                        // The server said it is working; probe instead of
+                        // retransmitting the call.
                         probes += 1;
                         if probes > 120 {
-                            return Err(RpcError::CallFailed { transmissions });
+                            return Err(RpcError::CallFailed {
+                                transmissions: probes,
+                            });
                         }
                         let probe = RpcHeader {
                             packet_type: PacketType::Probe,
                             data_len: 0,
-                            ..final_header
+                            ..*header
                         };
                         shared.ctx.send_built(
-                            &shared.ctx.builder_from(&probe, self.inner.remote),
+                            &shared.ctx.builder_from(&probe, remote),
                             &[],
-                            self.inner.remote,
+                            remote,
                         )?;
                     } else {
-                        if transmissions >= cfg.max_transmissions {
-                            return Err(RpcError::CallFailed { transmissions });
-                        }
-                        send_window(true)?;
-                        transmissions += 1;
+                        retransmit()?;
                         crate::stats::RpcStats::bump(&shared.ctx.stats.retransmissions);
-                        timeout = (timeout * 2).min(cfg.retransmit_max);
+                        // Exponential backoff with up to +25% deterministic
+                        // jitter so synchronized callers spread out.
+                        timeout = (timeout * 2)
+                            .min(cfg.retransmit_max)
+                            .mul_f64(1.0 + jitter.f64() * 0.25);
                     }
                 }
             }

@@ -5,7 +5,10 @@
 //! transport. Its demux thread is the Ethernet receive interrupt routine
 //! of §3.1.3: it validates headers and the UDP checksum, consults the
 //! call table or the server dispatcher, wakes the destination thread
-//! directly, and recycles buffers on the fly.
+//! directly, and recycles buffers on the fly. Fragment flow control is
+//! interrupt-level work too: an ack's arrival sends the next fragment of
+//! a multi-packet call or result from this thread, so caller and server
+//! threads are woken once per call, not once per fragment.
 
 use crate::calltable::{Deliver, ShardedCallTable};
 use crate::client::Client;
@@ -455,33 +458,25 @@ fn process_frame(
             pkt.into_buf().recycle();
         }
         PacketType::Result => match shared.calls.deliver(pkt) {
-            Deliver::Accepted => {
-                RpcStats::bump(&stats.results_received);
-                RpcStats::bump(&stats.direct_wakeups);
-            }
-            Deliver::AcceptedNeedsAck(ack) => {
-                RpcStats::bump(&stats.results_received);
-                RpcStats::bump(&stats.direct_wakeups);
-                let _ = shared.ctx.send_ack(&ack, src);
-            }
             Deliver::Orphan(pkt) => {
                 RpcStats::bump(&stats.orphan_results);
                 pkt.into_buf().recycle();
                 RpcStats::bump(&stats.buffers_recycled);
             }
+            outcome => {
+                RpcStats::bump(&stats.results_received);
+                act_on_delivery(shared, stats, outcome, src);
+            }
         },
         PacketType::Ack | PacketType::ProbeResponse => {
             if pkt.rpc.flags.acks_result {
                 // The caller acknowledged one of our result fragments.
-                server.handle_result_ack(&pkt.rpc);
+                server.handle_result_ack(&pkt.rpc, src);
                 pkt.into_buf().recycle();
             } else {
                 RpcStats::bump(&stats.acks_received);
                 let is_probe_response = pkt.rpc.packet_type == PacketType::ProbeResponse;
                 match shared.calls.deliver(pkt) {
-                    Deliver::Accepted | Deliver::AcceptedNeedsAck(_) => {
-                        RpcStats::bump(&stats.direct_wakeups);
-                    }
                     Deliver::Orphan(pkt) => {
                         // A ProbeResponse with no outstanding probe (the
                         // probing call already completed, or the probe was
@@ -491,8 +486,35 @@ fn process_frame(
                         }
                         pkt.into_buf().recycle();
                     }
+                    outcome => act_on_delivery(shared, stats, outcome, src),
                 }
             }
         }
+    }
+}
+
+/// The interrupt-level follow-up to a caller-side delivery: count the
+/// direct wakeup if a caller was woken, send the ack the packet asked
+/// for, or transmit the call fragment an ack has just released. Callers
+/// match orphans first, since their accounting differs by packet type;
+/// here an orphan's buffer is only recycled.
+fn act_on_delivery(shared: &EndpointShared, stats: &RpcStats, outcome: Deliver, src: SocketAddr) {
+    match outcome {
+        Deliver::Accepted => RpcStats::bump(&stats.direct_wakeups),
+        Deliver::AcceptedNeedsAck(ack) => {
+            RpcStats::bump(&stats.direct_wakeups);
+            let _ = shared.ctx.send_ack(&ack, src);
+        }
+        Deliver::Buffered(Some(ack)) => {
+            let _ = shared.ctx.send_ack(&ack, src);
+        }
+        Deliver::Buffered(None) => {}
+        Deliver::Advance(next) => {
+            // A send failure is indistinguishable from loss on the wire;
+            // the caller's timer resends the fragment.
+            let _ = shared.ctx.transport.send(next.frame(), src);
+            RpcStats::bump(&stats.fragments_sent);
+        }
+        Deliver::Orphan(pkt) => pkt.into_buf().recycle(),
     }
 }

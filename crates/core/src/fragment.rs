@@ -4,11 +4,18 @@
 //! bytes, but such larger arguments and results necessarily are
 //! transmitted in multiple packets." (§2.) Following Birrell–Nelson,
 //! every fragment except the last is sent stop-and-wait: it carries the
-//! please-ack flag and the sender waits for the explicit acknowledgement
-//! before sending the next, so no more than one packet per call is ever
-//! outstanding without an ack. (The batching ablation,
+//! please-ack flag and the next fragment goes out only once its explicit
+//! acknowledgement arrives, so no more than one packet per call is ever
+//! outstanding without an ack.
+//!
+//! The sending thread does not wait out each exchange. It builds every
+//! fragment frame up front, parks them (on the caller's call-table entry,
+//! or in the server's activity slot), sends fragment 0 and sleeps or
+//! moves on; the receiving demultiplexer sends fragment f+1 when the ack
+//! of fragment f arrives, as interrupt-level work. The caller owns every
+//! retransmission timer (see docs/PROTOCOL.md). The batching ablation,
 //! `Config::fragment_blast`, replaces the caller's stop-and-wait with a
-//! back-to-back window blast; see `Client::transact_blast`.)
+//! back-to-back window blast; see `Client::transact_blast`.
 
 use firefly_wire::MAX_SINGLE_PACKET_DATA;
 

@@ -10,6 +10,13 @@
 //! the server thread directly" (§3.1.3). The server thread then plays
 //! `Receiver`: it up-calls the interface stub, which up-calls the service
 //! procedure, marshals the results into a result packet and sends it.
+//!
+//! A multi-packet result is handed to the demux the same way a call is
+//! handed to a worker: the worker builds every result fragment frame,
+//! parks them in the activity slot, sends fragment 0 and goes back to its
+//! queue. Each caller ack of fragment f then makes the demux send
+//! fragment f+1 ([`ServerSide::handle_result_ack`]); no server thread
+//! waits on, or times, the caller's acks.
 
 use crate::calltable::shard_for;
 use crate::packet::{Assembled, Packet};
@@ -21,7 +28,7 @@ use crate::witness::{call_slot, row};
 use crate::{Result, RpcError};
 use firefly_idl::{engines_for_interface, StubEngine, StubStyle, Written};
 use firefly_pool::PacketBuf;
-use firefly_sync::{Condvar, Mutex, RwLock};
+use firefly_sync::{Mutex, RwLock};
 use firefly_wire::{ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -41,8 +48,9 @@ enum Retained {
     Pooled(PacketBuf),
     /// One heap-built frame (the call-failed path).
     Heap(Vec<u8>),
-    /// Multi-packet results: one heap-built frame per fragment.
-    Frames(Vec<Vec<u8>>),
+    /// Multi-packet results: one heap-built frame per fragment, shared
+    /// with the activity's [`ResultStream`].
+    Frames(Arc<[Vec<u8>]>),
 }
 
 impl Retained {
@@ -57,7 +65,7 @@ impl Retained {
             Retained::Pooled(b) => f(b),
             Retained::Heap(v) => f(v),
             Retained::Frames(frames) => {
-                for v in frames {
+                for v in frames.iter() {
                     f(v);
                 }
             }
@@ -65,11 +73,37 @@ impl Retained {
     }
 }
 
-#[derive(Default)]
 struct Reassembly {
     seq: u32,
     count: u16,
+    /// Distinct fragments buffered so far: complete at `count`.
+    have: u16,
     received: Vec<Option<Vec<u8>>>,
+}
+
+/// Resends of one result fragment the demux grants before it stops
+/// answering repeats of the same ack (the caller's own per-fragment
+/// budget is of the same order). Keeps a peer that repeats an ack from
+/// turning each small ack into a full-size frame forever.
+const MAX_FRAGMENT_RESENDS: u32 = 10;
+
+/// How long a result fragment must have been out before a repeated ack
+/// resends it. A caller re-acks only when its retransmission timer
+/// fires, milliseconds later; a repeat sooner than this is the network
+/// duplicating the ack (or the fragment it answered). Resending on it
+/// would start a chain — each extra fragment draws another ack, which
+/// draws another extra fragment — for the rest of the stream.
+const MIN_RESEND_GAP: Duration = Duration::from_millis(1);
+
+/// A multi-packet result streaming to its caller, one fragment per ack.
+struct ResultStream {
+    frames: Arc<[Vec<u8>]>,
+    /// Highest fragment index transmitted so far.
+    sent: u16,
+    /// When fragment `sent` last went out.
+    sent_at: Instant,
+    /// Resends since the stream last advanced.
+    attempts: u32,
 }
 
 struct ActState {
@@ -77,20 +111,22 @@ struct ActState {
     last_used: Instant,
     /// Highest call sequence number seen from this activity.
     last_seq: u32,
-    /// True while a server thread executes the current call.
+    /// True while a server thread executes the current call, and then
+    /// while its multi-packet result streams: until the final fragment
+    /// goes out, duplicates and probes are answered as for an executing
+    /// call.
     in_progress: bool,
     /// Result frame(s) of the last completed call.
     retained: Retained,
-    /// Fragment-ack notification for multi-packet result transmission:
-    /// `(seq, fragment)` most recently acknowledged by the caller.
-    acked_frag: Option<(u32, u16)>,
+    /// The current call's multi-packet result, from the worker's
+    /// hand-off until the next call or an explicit release.
+    stream: Option<ResultStream>,
     /// Partial multi-packet call.
     reassembly: Option<Reassembly>,
 }
 
 struct Activity {
     state: Mutex<ActState>,
-    cond: Condvar,
 }
 
 struct ServiceEntry {
@@ -102,6 +138,8 @@ struct ServiceEntry {
 
 enum Work {
     Call {
+        /// The caller's activity slot, resolved by the demux.
+        act: Arc<Activity>,
         call: Assembled,
         src: SocketAddr,
         /// Demux-level receive stamp ([`crate::trace`] nanos); 0 when
@@ -233,7 +271,9 @@ impl ServerSide {
         let before = map.len();
         map.retain(|_, act| {
             let st = act.state.lock();
-            st.in_progress || st.last_used.elapsed() < max_idle
+            // A call still executing is never reclaimed; a result that
+            // stopped streaming (its caller went quiet) ages out.
+            (st.in_progress && st.stream.is_none()) || st.last_used.elapsed() < max_idle
         });
         before - map.len()
     }
@@ -288,10 +328,9 @@ impl ServerSide {
                     last_seq: 0,
                     in_progress: false,
                     retained: Retained::None,
-                    acked_frag: None,
+                    stream: None,
                     reassembly: None,
                 }),
-                cond: Condvar::new(),
             })
         }))
     }
@@ -336,6 +375,7 @@ impl ServerSide {
             let retained = std::mem::replace(&mut st.retained, Retained::None);
             let executing = st.in_progress;
             let ack_executing = retained.is_none() && executing && rpc.flags.please_ack;
+            let resend_first = ack_executing && Self::first_fragment_outstanding(&st);
             drop(st);
             if !retained.is_none() {
                 // "the last result packet … must be retained for possible
@@ -359,6 +399,9 @@ impl ServerSide {
                     });
                 }
                 let _ = self.ctx.send_ack(&RpcHeader::ack_for(&rpc), src);
+                if resend_first {
+                    self.send_result_fragment(&act, rpc.call_seq, 0, src);
+                }
             } else if let Some(s) = slot {
                 // Dropped without answer: still executing (no ack asked),
                 // or the result was already delivered and released.
@@ -386,6 +429,7 @@ impl ServerSide {
                 slot => slot.insert(Reassembly {
                     seq: rpc.call_seq,
                     count: rpc.fragment_count,
+                    have: 0,
                     // lint:allow(no-alloc-on-fast-path): multi-fragment
                     // calls take the stop-and-wait slow path; the
                     // single-packet fast path never reaches this arm.
@@ -403,8 +447,9 @@ impl ServerSide {
                 // outlive the pooled packet buffer, so the slow path
                 // copies them out; single-packet calls never do.
                 reass.received[idx] = Some(pkt.data().to_vec());
+                reass.have += 1;
             }
-            let complete = reass.received.iter().all(|f| f.is_some());
+            let complete = reass.have == reass.count;
             // Stop-and-wait: every non-final fragment is acked — after
             // the activity guard drops, since the ack hits the wire.
             let ack_fragment = !rpc.flags.last_fragment;
@@ -430,7 +475,7 @@ impl ServerSide {
                 self.recycle(pkt);
                 return;
             }
-            // `complete` has just verified every slot, so the double
+            // `have == count` means every slot is filled, so the double
             // flatten drops nothing; written without expect() so a
             // worker thread can never panic on a malformed interleaving.
             let Some(parts) = st.reassembly.take() else {
@@ -462,6 +507,7 @@ impl ServerSide {
             self.enqueue(
                 rpc.activity,
                 Work::Call {
+                    act,
                     call: Assembled::Multi { rpc, data },
                     src,
                     received_at,
@@ -482,6 +528,7 @@ impl ServerSide {
         self.enqueue(
             rpc.activity,
             Work::Call {
+                act,
                 call: Assembled::Single(pkt),
                 src,
                 received_at,
@@ -494,6 +541,7 @@ impl ServerSide {
     fn begin_call(&self, st: &mut ActState, seq: u32) {
         st.last_seq = seq;
         st.in_progress = true;
+        st.stream = None;
         if let Retained::Pooled(buf) = std::mem::replace(&mut st.retained, Retained::None) {
             // "the interrupt handler removes the buffer found in that
             // call table entry and adds it to the … receive queue."
@@ -545,6 +593,7 @@ impl ServerSide {
         // under the activity lock.
         let retained = std::mem::replace(&mut st.retained, Retained::None);
         let executing = st.in_progress;
+        let resend_first = Self::first_fragment_outstanding(&st);
         drop(st);
         if !retained.is_none() {
             if spec_probe {
@@ -571,6 +620,9 @@ impl ServerSide {
                 .ctx
                 .send_built(&self.ctx.builder_from(&response, src), &[], src);
             RpcStats::bump(&self.ctx.stats.probes_answered);
+            if resend_first {
+                self.send_result_fragment(&act, rpc.call_seq, 0, src);
+            }
         } else if spec_probe {
             // Result delivered and released: stay silent (the caller's
             // next call starts a fresh round).
@@ -579,8 +631,10 @@ impl ServerSide {
     }
 
     /// Interrupt-level handling of a caller's ack of one of our result
-    /// fragments.
-    pub fn handle_result_ack(&self, rpc: &RpcHeader) {
+    /// fragments: an ack of fragment f sends fragment f+1 from here (a
+    /// repeated ack resends it); an ack carrying last-fragment releases
+    /// the retained result.
+    pub fn handle_result_ack(&self, rpc: &RpcHeader, src: SocketAddr) {
         RpcStats::bump(&self.ctx.stats.acks_received);
         // Caller result-acks carry acks-result, optionally with
         // last-fragment for the final (releasing) ack; anything else is
@@ -608,16 +662,87 @@ impl ServerSide {
                 row::ACK_ADVANCE
             });
         }
-        st.acked_frag = Some((rpc.call_seq, rpc.fragment));
-        if rpc.flags.last_fragment {
-            // Explicit ack of the complete result: release retention.
-            if let Retained::Pooled(buf) = std::mem::replace(&mut st.retained, Retained::None) {
-                buf.recycle();
-                RpcStats::bump(&self.ctx.stats.buffers_recycled);
-            }
+        st.last_used = Instant::now();
+        if !rpc.flags.last_fragment {
+            drop(st);
+            self.send_result_fragment(&act, rpc.call_seq, usize::from(rpc.fragment) + 1, src);
+            return;
+        }
+        // Explicit ack of the complete result: release retention (and a
+        // stream the caller says it no longer needs).
+        if st.stream.take().is_some() {
+            st.in_progress = false;
+        }
+        if let Retained::Pooled(buf) = std::mem::replace(&mut st.retained, Retained::None) {
+            buf.recycle();
+            RpcStats::bump(&self.ctx.stats.buffers_recycled);
+        }
+    }
+
+    /// True while a multi-packet result streams and fragment 0 is its
+    /// only fragment out: the caller then holds no fragment it could
+    /// re-ack, so its retransmitted call or probe is the only sign that
+    /// fragment 0 was lost, and the reply to either also resends it.
+    fn first_fragment_outstanding(st: &ActState) -> bool {
+        st.in_progress && st.stream.as_ref().is_some_and(|s| s.sent == 0)
+    }
+
+    /// Result-fragment transmission and recovery, at interrupt level.
+    ///
+    /// Sends fragment `index` of the activity's result stream if the
+    /// caller may need it: the next unsent fragment (an ack of its
+    /// predecessor arrived), or a resend of the newest one (a repeated
+    /// ack, or fragment 0 per [`Self::first_fragment_outstanding`]).
+    /// Stop-and-wait means the caller holds every earlier fragment, so
+    /// requests for those are stale and go unanswered; resends are
+    /// spaced by [`MIN_RESEND_GAP`] and bounded by
+    /// [`MAX_FRAGMENT_RESENDS`] between advances. Handing off the final
+    /// fragment completes the call: the frames become its retained
+    /// result. The caller owns every timer; this only answers.
+    fn send_result_fragment(&self, act: &Activity, seq: u32, index: usize, dst: SocketAddr) {
+        let mut st = act.state.lock();
+        if st.last_seq != seq {
+            return;
+        }
+        let Some(stream) = st.stream.as_mut() else {
+            return;
+        };
+        if index >= stream.frames.len() {
+            return;
+        }
+        let sent = usize::from(stream.sent);
+        let now = Instant::now();
+        let first = index == sent + 1;
+        if first {
+            stream.sent = index as u16;
+            stream.attempts = 0;
+        } else if index == sent
+            && stream.attempts < MAX_FRAGMENT_RESENDS
+            && now.duration_since(stream.sent_at) >= MIN_RESEND_GAP
+        {
+            stream.attempts += 1;
+        } else {
+            return;
+        }
+        stream.sent_at = now;
+        let frames = Arc::clone(&stream.frames);
+        if first && index + 1 == frames.len() {
+            // The final fragment is going out: the call is complete.
+            st.in_progress = false;
+            st.retained = Retained::Frames(Arc::clone(&frames));
         }
         drop(st);
-        act.cond.notify_all();
+        let Some(frame) = frames.get(index) else {
+            return;
+        };
+        // A send failure is indistinguishable from loss on the wire; the
+        // caller's re-ack recovers either.
+        let _ = self.ctx.transport.send(frame, dst);
+        RpcStats::bump(if first {
+            &self.ctx.stats.fragments_sent
+        } else {
+            &self.ctx.stats.retransmissions
+        });
     }
 
     fn recycle(&self, pkt: Packet) {
@@ -667,10 +792,11 @@ impl ServerSide {
                 .pop_with(worker, &mut local, || results.flush(&*self.ctx.transport));
             match next {
                 Some(Work::Call {
+                    act,
                     call,
                     src,
                     received_at,
-                }) => self.dispatch(call, src, received_at, &mut results),
+                }) => self.dispatch(&act, call, src, received_at, &mut results),
                 None => break,
             }
         }
@@ -678,25 +804,58 @@ impl ServerSide {
     }
 
     /// The Receiver: execute one call and transmit its result.
-    fn dispatch(&self, call: Assembled, src: SocketAddr, received_at: u64, results: &mut ResultBatch) {
+    fn dispatch(
+        &self,
+        act: &Activity,
+        call: Assembled,
+        src: SocketAddr,
+        received_at: u64,
+        results: &mut ResultBatch,
+    ) {
         let rpc = *call.rpc();
         // The server half of the latency account: `Received` carries the
         // demux stamp, `Dispatched` is stamped here (the wakeup delta).
         let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
         let outcome = self.execute(&call, src, &mut span, results);
-        if outcome.is_ok() && span.finish() {
-            RpcStats::bump(&self.ctx.stats.trace_records);
-        }
-        let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
             // A newer call superseded us while executing; discard.
             return;
         }
-        st.in_progress = false;
         match outcome {
-            Ok(retained) => st.retained = retained,
+            Ok(Retained::Frames(frames)) => {
+                // A multi-packet result streams from the demux: park the
+                // frames (before fragment 0 leaves, so its ack finds
+                // them), send fragment 0, and go back to the queue. The
+                // call counts as executing until the final fragment is
+                // out.
+                if frames.len() > 1 {
+                    st.stream = Some(ResultStream {
+                        frames: Arc::clone(&frames),
+                        sent: 0,
+                        sent_at: Instant::now(),
+                        attempts: 0,
+                    });
+                } else {
+                    st.in_progress = false;
+                    st.retained = Retained::Frames(Arc::clone(&frames));
+                }
+                drop(st);
+                if let Some(first) = frames.first() {
+                    let _ = self.ctx.transport.send(first, src);
+                    RpcStats::bump(&self.ctx.stats.fragments_sent);
+                }
+                // The account's boundary is the worker's last hand-off:
+                // the remaining fragments are interrupt-level work.
+                span.stamp(crate::trace::Stamp::ResultSent);
+            }
+            Ok(retained) => {
+                st.in_progress = false;
+                st.retained = retained;
+                drop(st);
+            }
             Err(e) => {
+                st.in_progress = false;
                 // Error result: single packet, call_failed flag, message
                 // as data.
                 drop(st);
@@ -715,12 +874,18 @@ impl ServerSide {
                         st.retained = Retained::Heap(frame.into_bytes());
                     }
                 }
+                return;
             }
+        }
+        if span.finish() {
+            RpcStats::bump(&self.ctx.stats.trace_records);
         }
     }
 
-    /// Runs the stub + service and transmits the result packets; returns
-    /// the frames to retain.
+    /// Runs the stub + service and builds the result: a single-packet
+    /// result is queued on the worker's batch and its pool buffer
+    /// returned for retention; a multi-packet result comes back as its
+    /// unsent fragment frames, for [`Self::dispatch`] to stream.
     fn execute(
         &self,
         call: &Assembled,
@@ -787,81 +952,26 @@ impl ServerSide {
             }
             Written::Spilled(data) => {
                 drop(result_buf);
-                // Stop-and-wait blocks on caller acks; flush pending
-                // results first so other callers aren't stalled behind
-                // this one's fragment round trips.
-                results.flush(&*self.ctx.transport);
-                self.send_multi_result(&rpc, &data, src, span)
+                let count = crate::fragment::fragment_count(data.len())?;
+                let frames = crate::fragment::fragments(&data)
+                    .map(|(index, chunk)| {
+                        let header = RpcHeader {
+                            packet_type: PacketType::Result,
+                            fragment: index,
+                            fragment_count: count,
+                            ..result_header
+                        };
+                        // Stop-and-wait: every fragment but the last asks
+                        // for the ack that releases its successor.
+                        self.ctx
+                            .builder_from(&header, src)
+                            .please_ack(index + 1 != count)
+                            .build(chunk)
+                            .map(|frame| frame.into_bytes())
+                    })
+                    .collect::<std::result::Result<Vec<_>, _>>()?;
+                Ok(Retained::Frames(frames.into()))
             }
         }
-    }
-
-    /// Transmits a multi-packet result stop-and-wait and returns the
-    /// frames for retention.
-    fn send_multi_result(
-        &self,
-        rpc: &RpcHeader,
-        data: &[u8],
-        src: SocketAddr,
-        span: &mut crate::trace::Span<'_>,
-    ) -> Result<Retained> {
-        let count = crate::fragment::fragment_count(data.len())?;
-        let act = self.activity(rpc.activity);
-        let mut retained: Vec<Vec<u8>> = Vec::with_capacity(count as usize);
-        for (index, chunk) in crate::fragment::fragments(data) {
-            let last = index + 1 == count;
-            let header = RpcHeader {
-                packet_type: PacketType::Result,
-                fragment: index,
-                fragment_count: count,
-                ..*rpc
-            };
-            let builder = self
-                .ctx
-                .builder_from(&header, src)
-                .fragment(index, count)
-                .please_ack(!last);
-            let frame = builder.build(chunk)?;
-            self.ctx.transport.send(frame.bytes(), src)?;
-            RpcStats::bump(&self.ctx.stats.fragments_sent);
-            if !last {
-                // Stop and wait for the caller's ack, retransmitting a
-                // few times before giving up on the whole call.
-                let mut attempts = 0;
-                loop {
-                    let deadline = Instant::now() + Duration::from_millis(200);
-                    let mut st = act.state.lock();
-                    let acked = loop {
-                        if st.last_seq != rpc.call_seq {
-                            return Err(RpcError::Remote("superseded".into()));
-                        }
-                        if let Some((s, f)) = st.acked_frag {
-                            if s == rpc.call_seq && f >= index {
-                                break true;
-                            }
-                        }
-                        if act.cond.wait_until(&mut st, deadline).timed_out() {
-                            break false;
-                        }
-                    };
-                    drop(st);
-                    if acked {
-                        break;
-                    }
-                    attempts += 1;
-                    if attempts > 10 {
-                        return Err(RpcError::Remote(
-                            "caller stopped acking result fragments".into(),
-                        ));
-                    }
-                    self.ctx.transport.send(frame.bytes(), src)?;
-                    RpcStats::bump(&self.ctx.stats.retransmissions);
-                }
-            }
-            retained.push(frame.into_bytes());
-        }
-        // The account's boundary is the hand-off of the last fragment.
-        span.stamp(crate::trace::Stamp::ResultSent);
-        Ok(Retained::Frames(retained))
     }
 }

@@ -83,7 +83,9 @@ pub enum Stamp {
     /// Server stub finished: arguments unmarshalled, service executed,
     /// results marshalled into the result packet.
     StubDone,
-    /// The (last) result packet was handed to the transport.
+    /// The server thread handed off its last result packet: the single
+    /// result frame, or fragment 0 of a multi-packet result (the demux
+    /// sends the rest as the caller acks them).
     ResultSent,
 }
 
