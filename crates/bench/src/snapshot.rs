@@ -72,9 +72,9 @@ impl SnapshotSpec {
             warmup: 200,
             throughput_threads: 4,
             // Long enough per thread that the multi-caller sections
-            // measure the steady-state wave pipeline (coalesced results
-            // waking the next round of combined calls), not the ramp:
-            // at 4x500 the ramp is ~25% of the window.
+            // measure steady-state throughput with every caller in
+            // flight, not the ramp: at 4x500 the ramp is ~25% of the
+            // window.
             throughput_calls: 2000,
             trace_calls: 500,
             ablation_calls: 400,

@@ -322,7 +322,7 @@ impl Client {
     ) -> Result<Assembled> {
         let shared = &self.inner.shared;
         let remote = self.inner.remote;
-        shared.ctx.send_call(frame, remote)?;
+        shared.ctx.transport.send(frame, remote)?;
         span.stamp(crate::trace::Stamp::Sent);
         crate::stats::RpcStats::bump(&shared.ctx.stats.calls_sent);
         let mut transmissions = 1u32;

@@ -17,8 +17,7 @@ pub struct Config {
     /// (§3.1); when all are busy, call packets take the slow path through
     /// the work queue. Defaults to the machine's available parallelism
     /// (clamped to [1, 4]): the Firefly ran one Receiver per processor,
-    /// and extra workers on fewer cores only break up the receive-burst
-    /// waves that the result batcher coalesces.
+    /// and workers beyond the core count only add context switches.
     pub server_threads: usize,
     /// First retransmission timeout; doubles on every retry.
     pub retransmit_initial: Duration,
@@ -74,11 +73,6 @@ pub struct Config {
     /// that change (per-core state, eRPC-style). One shard reproduces
     /// the seed's globally-locked behavior exactly.
     pub shards: usize,
-    /// Upper bound on the number of extra datagrams the demultiplexer
-    /// drains with nonblocking receives after each blocking receive,
-    /// amortizing wakeups and syscalls across a burst. 0 disables
-    /// batching (one blocking recv per datagram, the seed behavior).
-    pub recv_batch: usize,
     /// Send multi-packet call bodies as one back-to-back blast instead
     /// of Birrell–Nelson stop-and-wait — the batching ablation.
     ///
@@ -121,7 +115,6 @@ impl Default for Config {
             trace_capacity: crate::trace::DEFAULT_RING_CAPACITY,
             busy_wait_spin: Duration::ZERO,
             shards: 4,
-            recv_batch: 16,
             fragment_blast: false,
         }
     }

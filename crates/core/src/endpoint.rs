@@ -292,22 +292,15 @@ const DEMUX_POLLS_BEFORE_BLOCK: usize = 32;
 
 /// The receive loop — the reproduction's Ethernet interrupt routine.
 ///
-/// Batching: the first datagram of a burst is taken with a blocking
-/// receive; up to `config.recv_batch` more are then drained with
-/// nonblocking receives, so one demux wakeup (and, over UDP, one
-/// blocking-mode transition) serves the whole burst. The unused buffer
-/// that discovers the end of the burst is carried into the next
-/// blocking receive, keeping the demux's held-buffer count at one.
+/// One receive per datagram, and each datagram carries exactly one
+/// frame, validated and routed in place in its pool buffer. During a
+/// burst the nonblocking poll below picks up the next datagram without
+/// parking.
 fn demux_loop(shared: Arc<EndpointShared>, server: Arc<ServerSide>) {
     let stats = Arc::clone(&shared.ctx.stats);
-    let batch = shared.config.recv_batch;
     let mut cursor = 0usize;
-    let mut spare: Option<PacketBuf> = None;
     loop {
-        let mut buf = match spare.take() {
-            Some(b) => b,
-            None => take_receive_buf(&shared, &mut cursor),
-        };
+        let mut buf = take_receive_buf(&shared, &mut cursor);
         // Cooperative poll before the blocking receive: during a steady
         // call stream the next datagram arrives within a few yields
         // (the sender is runnable on this very machine in tests and
@@ -334,95 +327,15 @@ fn demux_loop(shared: Arc<EndpointShared>, server: Arc<ServerSide>) {
             },
         };
         buf.set_len(n);
-        process_datagram(&shared, &server, &stats, &mut cursor, buf, src);
-        let mut drained = 0;
-        while drained < batch {
-            let mut b = take_receive_buf(&shared, &mut cursor);
-            match shared.ctx.transport.try_recv(b.raw_mut()) {
-                Ok(Some((n, src))) => {
-                    b.set_len(n);
-                    process_datagram(&shared, &server, &stats, &mut cursor, b, src);
-                    drained += 1;
-                }
-                Ok(None) => {
-                    spare = Some(b);
-                    break;
-                }
-                Err(_) => return, // Shutdown.
-            }
-        }
-    }
-}
-
-/// Largest number of *trailing* frames one coalesced datagram can
-/// carry: a 1514-byte datagram holds at most ⌊1514 / 74⌋ = 20
-/// minimum-size frames, and the first stays in the receive buffer.
-const MAX_COALESCED_TAILS: usize = firefly_wire::MAX_FRAME_LEN / firefly_wire::MIN_FRAME_LEN;
-
-/// Splits one received datagram into its coalesced frames and processes
-/// each in arrival order.
-///
-/// The sending transport may pack several complete frames back to back
-/// into one datagram ([`Transport::send_batch`]); each frame's IP
-/// total-length field gives its boundary. The common case — one frame
-/// per datagram — is detected by the first boundary matching the
-/// datagram length and stays zero-copy. For a packed datagram the head
-/// frame is processed in place and each tail frame is copied into its
-/// own pool buffer first, so every frame flows through the same owned
-/// [`Packet`] path; processing stays in wire order, so replies within
-/// one activity are never reordered.
-fn process_datagram(
-    shared: &EndpointShared,
-    server: &ServerSide,
-    stats: &RpcStats,
-    cursor: &mut usize,
-    mut buf: PacketBuf,
-    src: SocketAddr,
-) {
-    let n = buf.len();
-    let first = match coalesced_frame_len(&buf) {
-        Some(len) => len,
-        None => {
-            // Shorter than any frame, or an implausible length field;
-            // `Packet::from_buf` would reject it anyway, but without a
-            // boundary there is nothing to walk.
+        // One frame per datagram: a datagram that is not exactly one
+        // frame long (truncated, or with bytes past the first frame's IP
+        // total length) is dropped whole, never partly processed.
+        if coalesced_frame_len(&buf) != Some(n) {
             RpcStats::bump(&stats.validation_drops);
             buf.recycle();
-            return;
+            continue;
         }
-    };
-    if first == n {
-        // Common case: one frame per datagram, no copies.
-        process_frame(shared, server, stats, buf, src);
-        return;
-    }
-    // A split datagram means batched peer traffic: the frames below are
-    // about to wake several local threads at once, so arm the send-side
-    // combining window before any of them reaches the transport.
-    shared.ctx.note_coalesced_delivery();
-    // Copy the tail frames out *before* shrinking the head in place.
-    let mut tails: [Option<PacketBuf>; MAX_COALESCED_TAILS] = [const { None }; MAX_COALESCED_TAILS];
-    let mut count = 0;
-    let mut off = first;
-    while off < n && count < tails.len() {
-        let Some(len) = coalesced_frame_len(&buf[off..n]) else {
-            // Trailing garbage or a truncated pack: drop the remainder.
-            RpcStats::bump(&stats.validation_drops);
-            break;
-        };
-        let mut tail = take_receive_buf(shared, cursor);
-        tail.raw_mut()[..len].copy_from_slice(&buf[off..off + len]);
-        tail.set_len(len);
-        tails[count] = Some(tail);
-        count += 1;
-        off += len;
-    }
-    buf.set_len(first);
-    process_frame(shared, server, stats, buf, src);
-    for slot in tails.iter_mut().take(count) {
-        if let Some(tail) = slot.take() {
-            process_frame(shared, server, stats, tail, src);
-        }
+        process_frame(&shared, &server, &stats, buf, src);
     }
 }
 

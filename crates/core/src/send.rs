@@ -9,10 +9,9 @@ use crate::trace::Tracer;
 use crate::transport::Transport;
 use crate::Result;
 use firefly_pool::ShardedPool;
-use firefly_sync::Mutex;
 use firefly_wire::{FrameBuilder, MacAddr, PacketType, RpcHeader};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
-use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
+use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Arc;
 
 /// Derives a deterministic locally-administered MAC for a socket address.
@@ -39,18 +38,6 @@ pub(crate) fn ipv4_of(addr: &SocketAddr) -> Ipv4Addr {
     }
 }
 
-/// Call frames queued by concurrent caller threads for one combined
-/// transmission (see [`SendCtx::send_call`]).
-struct Combined {
-    bytes: Vec<u8>,
-    spans: Vec<(usize, SocketAddr)>,
-    /// True while one caller thread drains the queue through the
-    /// transport. Enqueuers seeing this return immediately; the active
-    /// sender re-checks the queue before clearing the flag, so no
-    /// enqueued frame is ever stranded.
-    sending: bool,
-}
-
 /// Everything needed to build and send frames from one endpoint.
 pub(crate) struct SendCtx {
     pub transport: Arc<dyn Transport>,
@@ -68,13 +55,6 @@ pub(crate) struct SendCtx {
     /// call-table shards. Relaxed counters, safe under any lock.
     pub witness: crate::witness::ProtocolWitness,
     ip_ident: AtomicU16,
-    combiner: Mutex<Combined>,
-    /// Set when the last combiner drain shipped more than one frame —
-    /// concurrent callers are in flight, so the next sender opens a
-    /// brief combining window before shipping. Cleared by a drain that
-    /// found only its own frame, so an uncontended caller never pays
-    /// the window's scheduler hop.
-    combining_hot: AtomicBool,
 }
 
 impl SendCtx {
@@ -96,105 +76,6 @@ impl SendCtx {
             witness: crate::witness::ProtocolWitness::new(),
             checksum,
             ip_ident: AtomicU16::new(1),
-            combiner: Mutex::new(Combined {
-                bytes: Vec::with_capacity(firefly_wire::MAX_FRAME_LEN),
-                spans: Vec::with_capacity(16),
-                sending: false,
-            }),
-            combining_hot: AtomicBool::new(false),
-        }
-    }
-
-    /// Demux hint: a coalesced multi-frame datagram just arrived, so
-    /// several local threads are about to be woken near-simultaneously
-    /// (batched results wake their callers back-to-back). Arms the
-    /// combining window for the next sender; a drain that finds only
-    /// its own frame disarms it again.
-    pub fn note_coalesced_delivery(&self) {
-        self.combining_hot.store(true, Ordering::Relaxed);
-    }
-
-    /// Transmits a call frame through the flat-combining sender.
-    ///
-    /// Concurrent caller threads on one endpoint enqueue their call
-    /// frames under a short critical section; exactly one becomes the
-    /// sender and ships everything queued in one
-    /// [`Transport::send_batch`] call, which coalesces consecutive
-    /// same-destination frames into shared datagrams (the receiving
-    /// demux splits them back apart). While the sender sits in the send
-    /// syscall more callers can enqueue, so under true parallelism k
-    /// calls share one syscall; an uncontended caller degenerates to an
-    /// immediate single-frame send.
-    ///
-    /// Within one activity calls are strictly sequential (the caller
-    /// blocks for its result), so combining never reorders an
-    /// activity's calls.
-    pub fn send_call(&self, frame: &[u8], dst: SocketAddr) -> Result<()> {
-        let mut q = self.combiner.lock();
-        q.bytes.extend_from_slice(frame);
-        q.spans.push((frame.len(), dst));
-        if q.sending {
-            // The active sender's re-check loop picks this frame up
-            // before it clears `sending`; that is as good as sent.
-            return Ok(());
-        }
-        self.drain_combiner(q)
-    }
-
-    /// Becomes the sender: repeatedly takes the queued frames, ships
-    /// them with the lock released, and re-checks for frames enqueued
-    /// during the syscall, so nothing is ever stranded behind the
-    /// `sending` flag.
-    fn drain_combiner<'a>(
-        &'a self,
-        mut q: firefly_sync::MutexGuard<'a, Combined>,
-    ) -> Result<()> {
-        q.sending = true;
-        // Combining window, opened only while callers are observably
-        // concurrent (`combining_hot`): coalesced result delivery wakes
-        // several callers back-to-back, so the first one to reach the
-        // transport yields once before shipping — long enough for
-        // just-woken peers to marshal and enqueue their next call,
-        // turning k near-simultaneous calls into one datagram. A lone
-        // caller keeps the flag cold and ships immediately.
-        if self.combining_hot.load(Ordering::Relaxed) {
-            drop(q);
-            std::thread::yield_now();
-            q = self.combiner.lock();
-        }
-        // Local staging keeps the queue usable (and its capacity
-        // intact) while this thread is in the send syscall.
-        let mut bytes: Vec<u8> = Vec::with_capacity(q.bytes.len());
-        let mut spans: Vec<(usize, SocketAddr)> = Vec::with_capacity(q.spans.len());
-        let mut outcome = Ok(());
-        let mut max_batch = 0;
-        loop {
-            bytes.clear();
-            spans.clear();
-            bytes.extend_from_slice(&q.bytes);
-            spans.extend_from_slice(&q.spans);
-            q.bytes.clear();
-            q.spans.clear();
-            drop(q);
-            max_batch = max_batch.max(spans.len());
-            let mut frames: Vec<(&[u8], SocketAddr)> = Vec::with_capacity(spans.len());
-            let mut off = 0;
-            for &(len, d) in &spans {
-                frames.push((&bytes[off..off + len], d));
-                off += len;
-            }
-            if let Err(e) = self.transport.send_batch(&frames) {
-                // Report the failure to the sender; enqueuers already
-                // returned and rely on retransmission, exactly as for a
-                // frame lost on the wire.
-                outcome = Err(e.into());
-            }
-            q = self.combiner.lock();
-            if q.spans.is_empty() {
-                self.combining_hot.store(max_batch > 1, Ordering::Relaxed);
-                q.sending = false;
-                return outcome;
-            }
         }
     }
 

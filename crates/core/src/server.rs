@@ -148,58 +148,6 @@ enum Work {
     },
 }
 
-/// A worker's pending single-packet result frames, transmitted in one
-/// [`Transport::send_batch`] call — which coalesces consecutive frames
-/// to the same caller into single datagrams — whenever the worker runs
-/// out of immediately-available work or the batch reaches capacity.
-///
-/// Frames are *copied* in: retransmission retention keeps the pool
-/// buffer in the activity slot independently, so deferring the send
-/// never extends a buffer's lifetime.
-struct ResultBatch {
-    bytes: Vec<u8>,
-    frames: Vec<(usize, SocketAddr)>,
-}
-
-impl ResultBatch {
-    /// Flush once this many frames are pending even if more local work
-    /// remains, bounding the latency batching can add under load.
-    const MAX_FRAMES: usize = 16;
-
-    fn new() -> ResultBatch {
-        ResultBatch {
-            bytes: Vec::with_capacity(Self::MAX_FRAMES * 96),
-            frames: Vec::with_capacity(Self::MAX_FRAMES),
-        }
-    }
-
-    fn add(&mut self, frame: &[u8], dst: SocketAddr) {
-        self.bytes.extend_from_slice(frame);
-        self.frames.push((frame.len(), dst));
-    }
-
-    fn is_full(&self) -> bool {
-        self.frames.len() >= Self::MAX_FRAMES
-    }
-
-    fn flush(&mut self, transport: &dyn crate::transport::Transport) {
-        if self.frames.is_empty() {
-            return;
-        }
-        let mut batch: Vec<(&[u8], SocketAddr)> = Vec::with_capacity(self.frames.len());
-        let mut off = 0;
-        for &(len, dst) in &self.frames {
-            batch.push((&self.bytes[off..off + len], dst));
-            off += len;
-        }
-        // A UDP send failure here is indistinguishable from packet loss
-        // on the wire; the caller's retransmission machinery recovers.
-        let _ = transport.send_batch(&batch);
-        self.bytes.clear();
-        self.frames.clear();
-    }
-}
-
 /// The server half of an endpoint.
 pub(crate) struct ServerSide {
     services: RwLock<HashMap<u64, ServiceEntry>>,
@@ -772,54 +720,39 @@ impl ServerSide {
         // The worker's private batch: a whole queue drained (own or
         // stolen) is processed from here without further locking.
         let mut local = VecDeque::new();
-        // Pending result frames. Flushed when the batch fills or the
-        // queues go quiet (never later than the pre-park check inside
-        // `pop_with`), so no caller ever waits on a parked worker's
-        // buffered result; while work keeps arriving, results
-        // accumulate and go out coalesced.
-        let mut results = ResultBatch::new();
-        loop {
-            if results.is_full() {
-                results.flush(&*self.ctx.transport);
-            }
-            // `pop_with` flushes the pending results once the queues
-            // have stayed quiet for a few rescans (and always before
-            // this worker could park), so during a busy streak results
-            // keep coalescing across drains and steals, while an idle
-            // lull bounds their latency at a handful of yields.
-            let next = self
-                .queues
-                .pop_with(worker, &mut local, || results.flush(&*self.ctx.transport));
-            match next {
-                Some(Work::Call {
-                    act,
-                    call,
-                    src,
-                    received_at,
-                }) => self.dispatch(&act, call, src, received_at, &mut results),
-                None => break,
-            }
+        while let Some(Work::Call {
+            act,
+            call,
+            src,
+            received_at,
+        }) = self.queues.pop(worker, &mut local)
+        {
+            self.dispatch(&act, call, src, received_at);
         }
-        results.flush(&*self.ctx.transport);
     }
 
     /// The Receiver: execute one call and transmit its result.
-    fn dispatch(
-        &self,
-        act: &Activity,
-        call: Assembled,
-        src: SocketAddr,
-        received_at: u64,
-        results: &mut ResultBatch,
-    ) {
+    fn dispatch(&self, act: &Activity, call: Assembled, src: SocketAddr, received_at: u64) {
         let rpc = *call.rpc();
         // The server half of the latency account: `Received` carries the
         // demux stamp, `Dispatched` is stamped here (the wakeup delta).
         let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        let outcome = self.execute(&call, src, &mut span, results);
+        let outcome = self.execute(&call, src, &mut span);
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
-            // A newer call superseded us while executing; discard.
+            // A newer call superseded us while executing; nothing to
+            // retain. A single-packet result already went out from
+            // `execute` — its caller may have sent the next call on
+            // receiving it — so its buffer is recycled and its account
+            // is complete.
+            drop(st);
+            if let Ok(Retained::Pooled(buf)) = outcome {
+                buf.recycle();
+                RpcStats::bump(&self.ctx.stats.buffers_recycled);
+                if span.finish() {
+                    RpcStats::bump(&self.ctx.stats.trace_records);
+                }
+            }
             return;
         }
         match outcome {
@@ -883,15 +816,14 @@ impl ServerSide {
     }
 
     /// Runs the stub + service and builds the result: a single-packet
-    /// result is queued on the worker's batch and its pool buffer
-    /// returned for retention; a multi-packet result comes back as its
-    /// unsent fragment frames, for [`Self::dispatch`] to stream.
+    /// result is sent here and its pool buffer returned for retention;
+    /// a multi-packet result comes back as its unsent fragment frames,
+    /// for [`Self::dispatch`] to stream.
     fn execute(
         &self,
         call: &Assembled,
         src: SocketAddr,
         span: &mut crate::trace::Span<'_>,
-        results: &mut ResultBatch,
     ) -> Result<Retained> {
         let rpc = *call.rpc();
         // The authorization hook runs after duplicate filtering, before
@@ -937,16 +869,17 @@ impl ServerSide {
         let result_header = RpcHeader::result_for(&rpc, written.len());
         match written {
             Written::InPlace { len } => {
-                // Single packet: headers in place around the data, queue
-                // the frame on the worker's result batch (coalesced into
-                // shared datagrams at the next flush), retain the pool
-                // buffer — no per-call list around it.
+                // Single packet: headers in place around the data, send,
+                // retain the pool buffer — no per-call list around it.
                 let total = self
                     .ctx
                     .builder_from(&result_header, src)
                     .encode_into(result_buf.raw_mut(), len)?;
                 result_buf.set_len(total);
-                results.add(&result_buf, src);
+                // A send failure is indistinguishable from loss on the
+                // wire: the caller retransmits and the duplicate is
+                // answered from the retained buffer.
+                let _ = self.ctx.transport.send(&result_buf, src);
                 span.stamp(crate::trace::Stamp::ResultSent);
                 Ok(Retained::Pooled(result_buf))
             }

@@ -102,13 +102,6 @@ impl<T> WorkQueues<T> {
         true
     }
 
-    /// Dequeues the next item for worker `worker`, blocking until one
-    /// arrives. `local` is the worker's private batch (stack-owned by
-    /// the worker loop): items drained from a queue are processed from
-    /// it without further locking. Returns `None` once [`shutdown`] was
-    /// called and every queue (and the local batch) is empty.
-    ///
-    /// [`shutdown`]: WorkQueues::shutdown
     /// Empty rescans (each yielding the processor) a worker performs
     /// before parking on the condvar. A parked worker costs its waker a
     /// futex syscall and a scheduling round trip; during a steady call
@@ -117,29 +110,14 @@ impl<T> WorkQueues<T> {
     /// the processor hostage (`yield_now` runs anyone else runnable).
     const POLLS_BEFORE_PARK: u32 = 32;
 
-    /// Empty rescans after which `pop_with` reports a quiet queue to
-    /// its caller (once per quiet episode, and always before parking).
-    /// The very first empty rescan counts: during a busy streak the
-    /// rescan finds work and the quiet hook never fires, while a lone
-    /// caller's result is flushed after one scan's worth of delay
-    /// rather than several yields.
-    const POLLS_BEFORE_QUIET: u32 = 1;
-
+    /// Dequeues the next item for worker `worker`, blocking until one
+    /// arrives. `local` is the worker's private batch (stack-owned by
+    /// the worker loop): items drained from a queue are processed from
+    /// it without further locking. Returns `None` once [`shutdown`] was
+    /// called and every queue (and the local batch) is empty.
+    ///
+    /// [`shutdown`]: WorkQueues::shutdown
     pub fn pop(&self, worker: usize, local: &mut VecDeque<T>) -> Option<T> {
-        self.pop_with(worker, local, || {})
-    }
-
-    /// Like [`WorkQueues::pop`], but invokes `on_quiet` once the queues
-    /// have stayed empty for a few rescans — before this worker could
-    /// possibly park. Workers use it to flush deferred output (batched
-    /// result frames) exactly when no further work is imminent, so
-    /// batches ride out a busy streak but never outlive it.
-    pub fn pop_with(
-        &self,
-        worker: usize,
-        local: &mut VecDeque<T>,
-        mut on_quiet: impl FnMut(),
-    ) -> Option<T> {
         let n = self.shards.len();
         let me = worker % n;
         let mut polls = 0u32;
@@ -173,9 +151,6 @@ impl<T> WorkQueues<T> {
             }
             if polls < Self::POLLS_BEFORE_PARK {
                 polls += 1;
-                if polls == Self::POLLS_BEFORE_QUIET {
-                    on_quiet();
-                }
                 std::thread::yield_now();
                 continue;
             }

@@ -5,6 +5,11 @@
 //! [`Transport`] trait; the choice is made when an [`Endpoint`] is created
 //! and when a [`Client`] binds.
 //!
+//! Every frame travels alone: one [`Transport::send`] puts exactly one
+//! frame on the wire, and the receiving demultiplexer drops any datagram
+//! that is not exactly one frame long (§3.1.3 sends each call and result
+//! as its own packet).
+//!
 //! * [`UdpTransport`] sends each frame — including its Ethernet, IP, UDP
 //!   and RPC headers — as the payload of a real UDP datagram. The inner
 //!   headers are redundant with the host stack's, but they keep every byte
@@ -43,20 +48,23 @@ pub trait Transport: Send + Sync + 'static {
     /// and returns its length and source, or `Ok(None)` when nothing is
     /// waiting right now.
     ///
-    /// The demultiplexer uses this to drain a burst of datagrams after
-    /// each blocking [`Transport::recv`], amortizing the wakeup across
-    /// the burst. The default implementation reports nothing waiting,
-    /// which degrades batching transports back to one blocking receive
-    /// per frame — correct for any transport that cannot poll.
+    /// The demultiplexer polls with this for a few yields before each
+    /// blocking [`Transport::recv`], so during a steady call stream it
+    /// picks up the next datagram without parking. The default
+    /// implementation reports nothing waiting, which degrades the poll
+    /// to a blocking receive per frame — correct for any transport that
+    /// cannot poll.
     fn try_recv(&self, buf: &mut [u8]) -> io::Result<Option<(usize, SocketAddr)>> {
         let _ = buf;
         Ok(None)
     }
 
-    /// Sends a batch of frames, stopping at the first error.
+    /// Sends a batch of frames, one [`Transport::send`] per frame,
+    /// stopping at the first error.
     ///
-    /// The default implementation loops over [`Transport::send`];
-    /// transports with a cheaper aggregate path can override it.
+    /// The runtime itself never batches: every frame it sends is one
+    /// `send` and one datagram. This is a convenience for callers and
+    /// wrapping transports.
     fn send_batch(&self, frames: &[(&[u8], SocketAddr)]) -> io::Result<()> {
         for (frame, dst) in frames {
             self.send(frame, *dst)?;
@@ -84,8 +92,8 @@ pub struct UdpTransport {
     socket: UdpSocket,
     addr: SocketAddr,
     down: AtomicBool,
-    /// Cached nonblocking mode so the batched-drain path pays the
-    /// `fcntl` syscall only when the mode actually changes, not per
+    /// Cached nonblocking mode so the demux's poll pays the `fcntl`
+    /// syscall only when the mode actually changes, not per
     /// `try_recv`.
     nonblocking: AtomicBool,
 }
@@ -119,7 +127,7 @@ impl UdpTransport {
 impl Transport for UdpTransport {
     fn send(&self, frame: &[u8], dst: SocketAddr) -> io::Result<()> {
         // `set_nonblocking` affects the whole socket, so a send racing
-        // the demux's nonblocking drain can observe WouldBlock when the
+        // the demux's nonblocking poll can observe WouldBlock when the
         // kernel send buffer is momentarily full; retry after yielding
         // (UDP sends never otherwise block for long).
         loop {
@@ -168,55 +176,6 @@ impl Transport for UdpTransport {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Coalesces consecutive same-destination frames into single UDP
-    /// datagrams of at most [`firefly_wire::MAX_FRAME_LEN`] bytes.
-    ///
-    /// Each RPC frame carries its own Ethernet/IP/UDP/RPC headers with a
-    /// self-describing IP total length, so a receiver can walk the
-    /// datagram with [`firefly_wire::coalesced_frame_len`] and recover
-    /// every frame boundary. Packing up to 20 Null-sized (74-byte)
-    /// results per datagram amortizes the `sendto`/`recvfrom` syscall
-    /// pair that dominates the small-packet path — the same observation
-    /// that drives the paper's §4 "fewer packets" arguments. A 1514-byte
-    /// MaxResult frame fills the datagram alone and degenerates to the
-    /// unbatched path.
-    fn send_batch(&self, frames: &[(&[u8], SocketAddr)]) -> io::Result<()> {
-        let mut packed = [0u8; firefly_wire::MAX_FRAME_LEN];
-        let mut filled = 0usize;
-        let mut dst: Option<SocketAddr> = None;
-        for (frame, to) in frames {
-            if frame.len() > packed.len() {
-                // Oversized frame (cannot happen for wire-built frames,
-                // which cap at MAX_FRAME_LEN): flush and send it alone.
-                if let Some(d) = dst.take() {
-                    if filled > 0 {
-                        self.send(&packed[..filled], d)?;
-                    }
-                }
-                filled = 0;
-                self.send(frame, *to)?;
-                continue;
-            }
-            if dst != Some(*to) || filled + frame.len() > packed.len() {
-                if let Some(d) = dst {
-                    if filled > 0 {
-                        self.send(&packed[..filled], d)?;
-                    }
-                }
-                filled = 0;
-                dst = Some(*to);
-            }
-            packed[filled..filled + frame.len()].copy_from_slice(frame);
-            filled += frame.len();
-        }
-        if let Some(d) = dst {
-            if filled > 0 {
-                self.send(&packed[..filled], d)?;
-            }
-        }
-        Ok(())
     }
 
     fn local_addr(&self) -> SocketAddr {
@@ -633,64 +592,6 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(b.recv(&mut buf).unwrap().0, 1);
         assert_eq!(b.recv(&mut buf).unwrap().0, 1);
-    }
-
-    #[test]
-    fn udp_send_batch_coalesces_same_destination_frames() {
-        use firefly_wire::{coalesced_frame_len, FrameBuilder, PacketType, MIN_FRAME_LEN};
-        let a = UdpTransport::localhost().unwrap();
-        let b = UdpTransport::localhost().unwrap();
-        let f1 = FrameBuilder::new(PacketType::Result).build(&[]).unwrap();
-        let f2 = FrameBuilder::new(PacketType::Result).build(&[5; 8]).unwrap();
-        let dst = b.local_addr();
-        a.send_batch(&[(f1.bytes(), dst), (f2.bytes(), dst)])
-            .unwrap();
-        // Both frames arrive in ONE datagram, back to back.
-        let mut buf = [0u8; firefly_wire::MAX_FRAME_LEN];
-        let (n, _) = b.recv(&mut buf).unwrap();
-        assert_eq!(n, f1.len() + f2.len());
-        let first = coalesced_frame_len(&buf[..n]).unwrap();
-        assert_eq!(first, MIN_FRAME_LEN);
-        let second = coalesced_frame_len(&buf[first..n]).unwrap();
-        assert_eq!(first + second, n);
-    }
-
-    #[test]
-    fn udp_send_batch_flushes_on_destination_change() {
-        use firefly_wire::{FrameBuilder, PacketType, MIN_FRAME_LEN};
-        let a = UdpTransport::localhost().unwrap();
-        let b = UdpTransport::localhost().unwrap();
-        let c = UdpTransport::localhost().unwrap();
-        let f = FrameBuilder::new(PacketType::Result).build(&[]).unwrap();
-        a.send_batch(&[
-            (f.bytes(), b.local_addr()),
-            (f.bytes(), c.local_addr()),
-            (f.bytes(), b.local_addr()),
-        ])
-        .unwrap();
-        let mut buf = [0u8; firefly_wire::MAX_FRAME_LEN];
-        // b gets two separate datagrams (the run was broken by c's frame).
-        assert_eq!(b.recv(&mut buf).unwrap().0, MIN_FRAME_LEN);
-        assert_eq!(b.recv(&mut buf).unwrap().0, MIN_FRAME_LEN);
-        assert_eq!(c.recv(&mut buf).unwrap().0, MIN_FRAME_LEN);
-    }
-
-    #[test]
-    fn udp_send_batch_splits_at_datagram_capacity() {
-        use firefly_wire::{FrameBuilder, PacketType, MAX_SINGLE_PACKET_DATA};
-        let a = UdpTransport::localhost().unwrap();
-        let b = UdpTransport::localhost().unwrap();
-        let small = FrameBuilder::new(PacketType::Result).build(&[]).unwrap();
-        let max = FrameBuilder::new(PacketType::Result)
-            .build(&vec![0u8; MAX_SINGLE_PACKET_DATA])
-            .unwrap();
-        let dst = b.local_addr();
-        // small + max overflows 1514, so the batch must split.
-        a.send_batch(&[(small.bytes(), dst), (max.bytes(), dst)])
-            .unwrap();
-        let mut buf = [0u8; firefly_wire::MAX_FRAME_LEN];
-        assert_eq!(b.recv(&mut buf).unwrap().0, small.len());
-        assert_eq!(b.recv(&mut buf).unwrap().0, max.len());
     }
 
     #[test]

@@ -3,12 +3,13 @@
 /// A latency histogram over microseconds with logarithmic buckets.
 ///
 /// Buckets grow geometrically (`GROWTH = 1.022`: ~2.2% per bucket, ~92
-/// buckets per factor of e²; 1024 buckets in total) so percentiles are
+/// buckets per factor of e²; 1344 buckets in total) so percentiles are
 /// accurate to about one bucket width (~±1.1% at the reported midpoint)
-/// across the covered range from 1 µs to `GROWTH`¹⁰²⁴ ≈ 4.8·10⁹ µs
-/// (~80 minutes) — wide enough to span both the paper's 2.66 ms RPCs and
-/// the 600 ms retransmission penalty of §5 with orders of magnitude to
-/// spare. Values past the top bucket clamp into it.
+/// across the covered range from 1 ns (`FLOOR_US`) to
+/// `FLOOR_US`·`GROWTH`¹³⁴⁴ ≈ 5·10⁹ µs (~80 minutes). That spans
+/// sub-µs trace steps (stub, runtime), the paper's 2.66 ms RPCs and the
+/// 600 ms retransmission penalty of §5 alike. Values below the floor
+/// share the bottom bucket; values past the top bucket clamp into it.
 ///
 /// # Examples
 ///
@@ -31,9 +32,12 @@ pub struct Histogram {
     max: f64,
 }
 
-const BUCKETS: usize = 1024;
-/// Growth factor per bucket; bucket i covers [GROWTH^i, GROWTH^(i+1)) µs.
+const BUCKETS: usize = 1344;
+/// Growth factor per bucket; bucket i covers
+/// [FLOOR_US·GROWTH^i, FLOOR_US·GROWTH^(i+1)) µs.
 const GROWTH: f64 = 1.022;
+/// Lower edge of bucket 0, in µs: one nanosecond.
+const FLOOR_US: f64 = 1e-3;
 
 impl Default for Histogram {
     fn default() -> Self {
@@ -54,22 +58,22 @@ impl Histogram {
     }
 
     fn bucket_index(micros: f64) -> usize {
-        if micros <= 1.0 {
+        if micros <= FLOOR_US {
             return 0;
         }
-        let idx = micros.ln() / GROWTH.ln();
+        let idx = (micros / FLOOR_US).ln() / GROWTH.ln();
         (idx as usize).min(BUCKETS - 1)
     }
 
     /// The representative value reported for a bucket: its midpoint.
     ///
-    /// Bucket `i` covers `[GROWTH^i, GROWTH^(i+1))`; reporting the upper
-    /// edge (as this function once did) biased every percentile high by
-    /// one bucket width before the min/max clamp. The midpoint is
-    /// unbiased to within half a bucket width either way.
+    /// Bucket `i` covers `FLOOR_US·[GROWTH^i, GROWTH^(i+1))`; reporting
+    /// the upper edge (as this function once did) biased every
+    /// percentile high by one bucket width before the min/max clamp. The
+    /// midpoint is unbiased to within half a bucket width either way.
     fn bucket_value(index: usize) -> f64 {
-        let lower = GROWTH.powi(index as i32);
-        let upper = GROWTH.powi(index as i32 + 1);
+        let lower = FLOOR_US * GROWTH.powi(index as i32);
+        let upper = FLOOR_US * GROWTH.powi(index as i32 + 1);
         (lower + upper) / 2.0
     }
 
@@ -304,6 +308,37 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 20_000_000.0);
+    }
+
+    #[test]
+    fn sub_microsecond_values_get_their_own_buckets() {
+        // Regression: every value <= 1 µs used to share bucket 0, so a
+        // trace step averaging 0.3 µs reported p50 ~ 1.01 µs.
+        let mut h = Histogram::new();
+        for _ in 0..99 {
+            h.record(0.3);
+        }
+        h.record(5.0);
+        let p50 = h.percentile(50.0);
+        assert!(
+            p50 / 0.3 < GROWTH && 0.3 / p50 < GROWTH,
+            "p50 = {p50}, want within one bucket of 0.3"
+        );
+        assert!(h.min() <= p50 && p50 <= h.max());
+        // Nanosecond-scale values still resolve.
+        let mut ns = Histogram::new();
+        ns.record(0.004);
+        ns.record(0.006);
+        let low = ns.percentile(50.0);
+        assert!((low - 0.004).abs() / 0.004 < 0.03, "p50 = {low}");
+    }
+
+    #[test]
+    fn top_of_range_covers_the_retransmission_penalty() {
+        // Bucket indices below the top bucket mean no clamping: the
+        // §5 600 ms penalty and an 80-minute value both resolve.
+        assert!(Histogram::bucket_index(600_000.0) < BUCKETS - 1);
+        assert!(Histogram::bucket_index(4.0e9) < BUCKETS - 1);
     }
 
     #[test]

@@ -22,12 +22,12 @@ fn exact_percentile(sorted: &[f64], p: f64) -> f64 {
 #[test]
 fn percentile_is_within_one_bucket_of_the_order_statistic() {
     check("hist_percentile_accuracy", 200, |g: &mut Gen| {
-        // Positive inputs spanning the histogram's useful range; start
-        // at 2 µs so a value and its bucket never straddle the clamped
-        // bucket 0 (values ≤ 1 µs all share it by design).
+        // Positive inputs spanning the histogram's useful range, from
+        // 10 ns (well above the 1 ns floor, where values share bucket
+        // 0 by design) to 1 s.
         let values = g.vec(1..400, |g| {
-            let exp = g.rng().f64() * 6.0; // 10^0 .. 10^6
-            2.0 + 10f64.powf(exp)
+            let exp = g.rng().f64() * 8.0 - 2.0; // 10^-2 .. 10^6
+            10f64.powf(exp)
         });
         let mut h = Histogram::new();
         for &v in &values {

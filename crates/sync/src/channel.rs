@@ -141,8 +141,9 @@ impl<T> Receiver<T> {
     /// Returns `Ok(Some(_))` when a message was waiting, `Ok(None)` when
     /// the queue is momentarily empty, and `Err(RecvError)` once it is
     /// empty *and* every sender has disconnected. The demultiplexer's
-    /// batched drain uses this to pull a burst of already-arrived frames
-    /// after one blocking [`Receiver::recv`].
+    /// nonblocking poll uses this (through the loopback transport) to
+    /// pick up an already-arrived frame before blocking in
+    /// [`Receiver::recv`].
     pub fn try_recv(&self) -> Result<Option<T>, RecvError> {
         let mut queue = self.chan.queue.lock();
         if let Some(value) = queue.pop_front() {

@@ -37,14 +37,14 @@ pub const DATA_OFFSET: usize = RPC_HEADERS_LEN;
 /// Returns the wire length of the frame starting at `bytes[0]`, read
 /// from its IP total-length field without validating the rest.
 ///
-/// This is the receive half of datagram coalescing: a transport may
-/// pack several complete frames back to back into one datagram
-/// (`Transport::send_batch`), and the demultiplexer walks the datagram
-/// by repeated `coalesced_frame_len` to find each frame's boundary.
-/// Full validation (checksums, lengths) still happens per frame in
+/// Every datagram carries exactly one frame, so the demultiplexer
+/// accepts a datagram only when this equals its length; bytes past the
+/// first frame, or a frame cut short, make the whole datagram invalid.
+/// Frames laid back to back in one buffer can still be walked by
+/// repeated calls, which is how tools count the frames in raw bytes.
+/// Full validation (checksums, lengths) happens in
 /// [`FrameView::parse`]. Returns `None` when the prefix is too short or
-/// the claimed length is implausible or overruns `bytes` — the caller
-/// treats the remainder as trailing garbage and drops it.
+/// the claimed length is implausible or overruns `bytes`.
 pub fn coalesced_frame_len(bytes: &[u8]) -> Option<usize> {
     if bytes.len() < ETHERNET_HEADER_LEN + IPV4_HEADER_LEN {
         return None;

@@ -15,6 +15,12 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release --offline (workspace)"
 cargo build --release --offline --workspace
 
+# The benchmark (perfbench/, its own workspace) compiles against the
+# core API; build it here so an API change that breaks it fails verify
+# rather than the benchmark run.
+echo "==> cargo build --release --offline (perfbench)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
